@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +43,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_row(row: list) -> str:
+    if all(map(isinstance, row, repeat(float))):
+        # "%.17g" renders a float exactly as _fmt does, in one call per row
+        return ",".join(["%.17g"] * len(row)) % tuple(row)
+    return ",".join(_fmt(v) for v in row)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(_format_row, rows))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -111,13 +120,9 @@ def cmd_simulate(args) -> int:
 
     ts = sorted(set(np.linspace(0.0, t_end, args.samples).tolist())
                 | {s for s in timeline.event_times if s <= t_end})
-    xs = timeline.sample_positions(ts)
-    vs = timeline.sample_velocities(ts)
+    rows = np.column_stack([ts, timeline.sample_positions(ts), timeline.sample_velocities(ts),
+                            timeline.sample_accelerations(ts)]).tolist()
     n = inst.data.n
-    rows = []
-    for i, t in enumerate(ts):
-        accs = timeline.accelerations_at(t)
-        rows.append([t, *xs[i], *vs[i], *accs])
     header = (["t"] + [f"x{j}" for j in range(n)] + [f"v{j}" for j in range(n)]
               + [f"theta{j}" for j in range(n)])
     _write_csv(out / "trajectory.csv", header, rows)
@@ -280,6 +285,13 @@ def cmd_fuzz(args) -> int:
     return OK if failures == 0 else VERIFICATION_FAILURE
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stickygas",
@@ -291,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--out-dir", required=True, help="output directory")
-        p.add_argument("--tol-abs", type=float, default=None)
-        p.add_argument("--tol-rel", type=float, default=None)
+        p.add_argument("--tol-abs", type=_finite_float, default=None)
+        p.add_argument("--tol-rel", type=_finite_float, default=None)
 
     p = sub.add_parser("simulate", help="run the dynamics, export events and trajectories")
     common(p)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--t-end", type=_finite_float, default=None)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_simulate)
 

@@ -2,12 +2,17 @@
 
 Between collisions every cluster follows its barycentric quadratic, so the
 next collision is the earliest crossing time among adjacent cluster paths.
-Collisions that land within the time-scaled grouping tolerance of the
-earliest one are treated as a single simultaneous event; the clusters they
-connect merge in one step (multi-cluster pile-ups included).  After a merge
-the new path is re-derived from the initial data via the barycentric
-formula -- never by local continuation -- so floating-point drift cannot
-desynchronize paths from aggregates.
+`simulate` keeps those crossing times in a heap keyed by the left cluster of
+each adjacent pair, with a per-pair stamp for lazy invalidation (Lubachevsky
+1991): after a merge only the pairs that touch a new cluster are solved
+again, and entries of pairs that no longer exist are dropped when they reach
+the top.  Every pair within the time-scaled grouping tolerance of the
+earliest one is popped together and the popped pairs are split into
+connected runs, which merge in one step (multi-cluster pile-ups included) --
+the same grouping as the full rescan `next_collision`, kept as the reference.
+After a merge the new path is re-derived from the initial data via the
+barycentric formula -- never by local continuation -- so floating-point
+drift cannot desynchronize paths from aggregates.
 
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
@@ -17,6 +22,7 @@ not the root-finding or scheduling.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -78,6 +84,8 @@ def next_collision(
     Returns None when no adjacent pair ever meets again.  Pairs whose
     crossing falls within tol.event_tol of the earliest time are grouped
     into connected runs, giving the simultaneous multi-cluster merges.
+    This full rescan solves every adjacent pair; `simulate` reaches the same
+    grouping incrementally, and this function is its reference.
     """
     k_pairs = len(paths) - 1
     if k_pairs < 1:
@@ -107,38 +115,6 @@ def next_collision(
             run = [k, k + 1]
     groups.append(tuple(run))
     return PendingEvent(t_star, tuple(groups))
-
-
-def _apply_event(
-    data: InitialData,
-    partition: Partition,
-    paths: Sequence[QuadraticPath],
-    pending: PendingEvent,
-) -> tuple[Partition, tuple[QuadraticPath, ...], ShockEvent]:
-    group_start = {grp[0]: grp for grp in pending.groups}
-    in_group = {k for grp in pending.groups for k in grp}
-    clusters: list[Cluster] = []
-    new_paths: list[QuadraticPath] = []
-    records: list[MergeGroup] = []
-    k = 0
-    old = partition.clusters
-    while k < len(old):
-        if k in group_start:
-            grp = group_start[k]
-            g = old[grp[0]].left_index
-            d = old[grp[-1]].right_index
-            merged = make_cluster(data, g, d, pending.time)
-            clusters.append(merged)
-            new_paths.append(interval_path(data, g, d))
-            records.append(MergeGroup(tuple(old[i].interval for i in grp), merged))
-            k = grp[-1] + 1
-        elif k in in_group:  # pragma: no cover - groups start at their first member
-            k += 1
-        else:
-            clusters.append(old[k])
-            new_paths.append(paths[k])
-            k += 1
-    return Partition(tuple(clusters)), tuple(new_paths), ShockEvent(pending.time, tuple(records))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,26 +194,63 @@ class ShockTimeline:
     def sample_velocities(self, ts: Sequence[float]) -> np.ndarray:
         return self._sample(ts, "v")
 
-    def _sample(self, ts: Sequence[float], kind: str) -> np.ndarray:
-        """Vectorized per-particle samples, shape (len(ts), N)."""
-        tarr = np.asarray(ts, dtype=float)
-        if tarr.size and (tarr.min() < 0.0 or tarr.max() > self.t_end):
-            raise TimeOutOfRange("sample times outside [0, t_end]")
-        out = np.empty((tarr.size, self.initial.n))
+    def sample_accelerations(self, ts: Sequence[float]) -> np.ndarray:
+        return self._sample(ts, "a")
+
+    @cached_property
+    def _lives(self) -> list[tuple[Cluster, QuadraticPath, int, int]]:
+        """(cluster, path, first segment, last segment) for every run of
+        consecutive segments that holds the same cluster and path objects."""
+        lives: list[tuple[Cluster, QuadraticPath, int, int]] = []
+        opened: dict[tuple[int, int], tuple[Cluster, QuadraticPath, int]] = {}
+        previous: dict[tuple[int, int], tuple[Cluster, QuadraticPath]] = {}
         for i, seg in enumerate(self.segments):
-            last = i == len(self.segments) - 1
-            mask = (tarr >= seg.t_lo) & ((tarr <= seg.t_hi) if last else (tarr < seg.t_hi))
-            if not mask.any():
+            clusters, paths = seg.partition.clusters, seg.paths
+            current = dict(zip(zip(map(id, clusters), map(id, paths)), zip(clusters, paths)))
+            for key in previous.keys() - current.keys():
+                lives.append((*opened.pop(key), i - 1))
+            for key in current.keys() - previous.keys():
+                opened[key] = (*current[key], i)
+            previous = current
+        last = len(self.segments) - 1
+        lives.extend((*life, last) for life in opened.values())
+        return lives
+
+    def _sample(self, ts: Sequence[float], kind: str) -> np.ndarray:
+        """Vectorized per-particle samples, shape (len(ts), N).
+
+        Row i equals the matching *_at(ts[i]) bit for bit.  A life (see
+        _lives) covers a contiguous range of the sorted sample times, so
+        each life is evaluated and written once.
+        """
+        tarr = np.asarray(ts, dtype=float)
+        if tarr.size and not ((tarr >= 0.0) & (tarr <= self.t_end)).all():
+            raise TimeOutOfRange("sample times outside [0, t_end]")
+        order = np.argsort(tarr, kind="stable")
+        tsorted = tarr[order]
+        # rows [firsts[i], stops[i]) of tsorted fall in segment i, [t_lo, t_hi),
+        # the last segment closed
+        firsts = np.searchsorted(tsorted, [seg.t_lo for seg in self.segments], "left")
+        stops = np.searchsorted(tsorted, [seg.t_hi for seg in self.segments], "left")
+        stops[-1] = np.searchsorted(tsorted, self.segments[-1].t_hi, "right")
+        firsts, stops = firsts.tolist(), stops.tolist()
+
+        out = np.empty((tarr.size, self.initial.n))
+        for cluster, path, s0, s1 in self._lives:
+            first, stop = firsts[s0], stops[s1]
+            if first >= stop:
                 continue
-            tm = tarr[mask]
-            for cluster, path in zip(seg.partition.clusters, seg.paths):
-                g, d = cluster.interval
-                if kind == "x":
-                    vals = path.c0 + tm * (path.c1 + 0.5 * tm * path.c2)
-                else:
-                    vals = path.c1 + tm * path.c2
-                out[mask, g : d + 1] = vals[:, None]
-        return out
+            g, d = cluster.interval
+            tm = tsorted[first:stop]
+            if kind == "x":
+                out[first:stop, g : d + 1] = (path.c0 + tm * (path.c1 + 0.5 * tm * path.c2))[:, None]
+            elif kind == "v":
+                out[first:stop, g : d + 1] = (path.c1 + tm * path.c2)[:, None]
+            else:
+                out[first:stop, g : d + 1] = cluster.acceleration
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        return unsorted
 
     def time_to_next_event(self, t: float) -> float:
         """Gap from t to the next shock (inf when none remains)."""
@@ -256,26 +269,90 @@ def simulate(
     """Run the sticky dynamics up to t_end (or until no collision remains).
 
     The returned timeline's segments tile [0, t_end]; the cluster count
-    strictly decreases across the at most N-1 events.
+    strictly decreases across the at most N-1 events.  Each event solves
+    only the adjacent pairs that touch a newly merged cluster, so a run
+    makes at most (N-1) + 2*(merge groups) crossing-time solves.
     """
     data = validate(data)
     if not t_end > 0.0:
         raise TimeOutOfRange("t_end must be positive")
-    partition = Partition(tuple(make_cluster(data, j, j, 0.0) for j in range(data.n)))
-    paths: tuple[QuadraticPath, ...] = tuple(interval_path(data, j, j) for j in range(data.n))
+    clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
+    paths = [interval_path(data, j, j) for j in range(data.n)]
+    lefts = list(range(data.n))  # left particle index of each live cluster
+    # A pair of live clusters is keyed by the left index of its left cluster;
+    # stamp[g] changes whenever that pair changes, which invalidates its
+    # earlier heap entries.
+    stamp = [0] * data.n
+    heap: list[tuple[float, int, int]] = []  # (crossing time, key, stamp)
+
+    def schedule(k: int, t_now: float) -> None:
+        """Push the next crossing after t_now of live clusters k and k+1."""
+        g = lefts[k]
+        stamp[g] += 1
+        try:
+            roots = quadratic_meet_times(paths[k], paths[k + 1], after=t_now, tol=tol)
+        except IdenticalPaths:
+            # coincident paths: already in contact, merge immediately
+            heapq.heappush(heap, (t_now, g, stamp[g]))
+            return
+        if roots:
+            heapq.heappush(heap, (roots[0].time, g, stamp[g]))
+
+    for k in range(data.n - 1):
+        schedule(k, 0.0)
     segments: list[Segment] = []
     events: list[ShockEvent] = []
     t_now = 0.0
     while True:
-        pending = next_collision(partition, paths, t_now, tol)
-        if pending is None or pending.time > t_end:
-            segments.append(Segment(t_now, t_end, partition, paths))
+        while heap and stamp[heap[0][1]] != heap[0][2]:
+            heapq.heappop(heap)
+        partition = Partition(tuple(clusters))
+        if not heap or heap[0][0] > t_end:
+            segments.append(Segment(t_now, t_end, partition, tuple(paths)))
             break
-        t_star = max(pending.time, t_now)
-        segments.append(Segment(t_now, t_star, partition, paths))
-        partition, paths, event = _apply_event(data, partition, paths, pending)
-        events.append(event)
+        t_event = heap[0][0]
+        limit = t_event + tol.event_tol(t_event)
+        chosen: list[int] = []
+        while heap and heap[0][0] <= limit:
+            _, g, entry_stamp = heapq.heappop(heap)
+            if stamp[g] == entry_stamp:
+                chosen.append(bisect_left(lefts, g))
+        chosen.sort()
+        runs: list[list[int]] = []  # [first, last] live-cluster positions
+        for k in chosen:
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+
+        t_star = max(t_event, t_now)
+        segments.append(Segment(t_now, t_star, partition, tuple(paths)))
+        records: list[MergeGroup] = []
+        for first, last in reversed(runs):  # right to left keeps positions valid
+            members = clusters[first : last + 1]
+            g, d = members[0].left_index, members[-1].right_index
+            merged = make_cluster(data, g, d, t_event)
+            records.append(MergeGroup(tuple(c.interval for c in members), merged))
+            for c in members:
+                stamp[c.left_index] += 1
+            clusters[first : last + 1] = [merged]
+            paths[first : last + 1] = [interval_path(data, g, d)]
+            lefts[first : last + 1] = [g]
+        records.reverse()
+        events.append(ShockEvent(t_event, tuple(records)))
         t_now = t_star
+
+        touched: set[int] = set()
+        removed = 0
+        for first, last in runs:
+            k = first - removed  # position of the merged cluster
+            removed += last - first
+            if k > 0:
+                touched.add(k - 1)
+            if k < len(clusters) - 1:
+                touched.add(k)
+        for k in sorted(touched):
+            schedule(k, t_now)
     return ShockTimeline(data, float(t_end), tuple(events), tuple(segments))
 
 
@@ -296,7 +373,9 @@ def brute_force_partitions(
     every adjacent run whose barycenters are out of order or within
     tol.abs_tol, cascading until the boundary is clean.  The requested times
     are inserted as extra boundaries; detection therefore lags a true shock
-    by at most dt, so callers should sample away from shocks.
+    by at most dt, so callers should sample away from shocks.  Boundaries
+    are generated `chunk` steps at a time, so memory does not grow with the
+    horizon.
     """
     if dt <= 0.0:
         raise TimeOutOfRange("dt must be positive")
@@ -305,10 +384,8 @@ def brute_force_partitions(
     sorted_times = [float(times[i]) for i in order]
     if sorted_times and sorted_times[0] < 0.0:
         raise TimeOutOfRange("sample times must be nonnegative")
-    t_max = sorted_times[-1] if sorted_times else 0.0
-    grid = np.arange(dt, t_max + dt, dt)
-    grid = grid[grid <= t_max]
-    bounds = np.unique(np.concatenate([grid, np.asarray(sorted_times)]))
+    if not all(map(math.isfinite, sorted_times)):
+        raise TimeOutOfRange("sample times must be finite")
     requested = {t: None for t in sorted_times}
 
     intervals: list[tuple[int, int]] = [(j, j) for j in range(data.n)]
@@ -322,29 +399,53 @@ def brute_force_partitions(
     if 0.0 in requested:
         requested[0.0] = list(intervals)
 
-    bi = 0
-    n_bounds = len(bounds)
-    while bi < n_bounds and len(intervals) > 1:
-        hi = min(bi + chunk, n_bounds)
-        tchunk = bounds[bi:hi]
-        pos = _eval_positions(coeffs, tchunk)  # (K, len(chunk))
-        bad_cols = np.nonzero((np.diff(pos, axis=0) <= tol.abs_tol).any(axis=0))[0]
-        if bad_cols.size == 0:
-            record_upto(tchunk[-1])
-            bi = hi
-            continue
-        j = int(bad_cols[0])
-        if j > 0:
-            record_upto(tchunk[j - 1])
-        s = float(tchunk[j])
-        intervals = _merge_at(data, intervals, s, tol)
-        coeffs = _interval_coeffs(data, intervals)
-        record_upto(s)
-        bi += j + 1
+    for bounds in _step_bounds(sorted_times, dt, chunk):
+        bi = 0
+        while bi < len(bounds) and len(intervals) > 1:
+            tchunk = bounds[bi:]
+            pos = _eval_positions(coeffs, tchunk)  # (K, len(chunk))
+            bad_cols = np.nonzero((np.diff(pos, axis=0) <= tol.abs_tol).any(axis=0))[0]
+            if bad_cols.size == 0:
+                record_upto(tchunk[-1])
+                break
+            j = int(bad_cols[0])
+            if j > 0:
+                record_upto(tchunk[j - 1])
+            s = float(tchunk[j])
+            intervals = _merge_at(data, intervals, s, tol)
+            coeffs = _interval_coeffs(data, intervals)
+            record_upto(s)
+            bi += j + 1
+        if len(intervals) == 1:
+            break
     record_upto(math.inf)
 
     by_time = {t: partition_from_intervals(data, iv, t) for t, iv in requested.items()}
     return [by_time[float(times[i])] for i in range(len(times))]
+
+
+def _step_bounds(sorted_times: list[float], dt: float, chunk: int):
+    """The sorted, distinct step boundaries: the grid dt, 2dt, ... up to the
+    last requested time, with the requested times merged in, `chunk` grid
+    steps at a time.  Grid values are those of
+    np.arange(dt, t_max + dt, dt), computed as dt + k*dt like arange does.
+    """
+    if not sorted_times:
+        return
+    req = np.unique(np.asarray(sorted_times))
+    t_max = sorted_times[-1]
+    n_grid = math.ceil((t_max + dt - dt) / dt)  # np.arange's length
+    taken = 0
+    for k0 in range(0, n_grid, chunk):
+        grid = dt + np.arange(k0, min(k0 + chunk, n_grid), dtype=float) * dt
+        grid = grid[grid <= t_max]
+        if grid.size == 0:
+            break
+        upto = int(np.searchsorted(req, grid[-1], "right"))
+        yield np.unique(np.concatenate([grid, req[taken:upto]]))
+        taken = upto
+    if taken < req.size:
+        yield req[taken:]
 
 
 def brute_force_partition(

@@ -17,6 +17,10 @@ class NonPositiveMass(StickyError):
     pass
 
 
+class NonFiniteValue(StickyError):
+    """NaN or an infinity in the initial data."""
+
+
 class IndexOutOfRange(StickyError):
     pass
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import Segment, ShockTimeline
 from .errors import WindowOutOfRange
@@ -34,6 +33,14 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 QUAD_TOL = 1e-10
 RESIDUAL_FLOOR = 1e-8
+
+
+def quad(func, a, b, *args, **kwargs):
+    """scipy.integrate.quad, imported on first use: loading scipy takes
+    longer than a small simulate or gvp command, and neither integrates."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, *args, **kwargs)
 
 
 @dataclass(frozen=True)

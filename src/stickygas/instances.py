@@ -9,6 +9,7 @@ unambiguously; serialization uses repr-exact floats for the same reason.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"particle {i} has a non-numeric field: {exc}") from exc
     t_end = doc.get("t_end")
     if t_end is not None:
-        t_end = float(t_end)
+        t_end = _finite(t_end, "`t_end`")
     seed = doc.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise InstanceFormatError("`seed` must be an integer")
@@ -73,11 +74,21 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(tdoc, dict) or set(tdoc) - _TOL_KEYS:
             raise InstanceFormatError("`tolerances` must be an object with keys 'abs'/'rel'")
         tol = Tolerances(
-            abs_tol=float(tdoc.get("abs", tol.abs_tol)),
-            rel_tol=float(tdoc.get("rel", tol.rel_tol)),
+            abs_tol=_finite(tdoc.get("abs", tol.abs_tol), "tolerance 'abs'"),
+            rel_tol=_finite(tdoc.get("rel", tol.rel_tol), "tolerance 'rel'"),
         )
     data = validate(xs, ms, vs, ths)
     return Instance(data, t_end, seed, tol)
+
+
+def _finite(value, what: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{what} must be a number: {exc}") from exc
+    if not math.isfinite(out):
+        raise InstanceFormatError(f"{what} must be finite, got {out}")
+    return out
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -54,10 +54,6 @@ class DiscreteMeasure:
     def first_moment(self) -> float:
         return math.fsum(w * x for x, w in self.atoms)
 
-    def measure_of(self, lo: float, hi: float) -> float:
-        """Weight of the closed interval [lo, hi]."""
-        return math.fsum(w for x, w in self.atoms if lo <= x <= hi)
-
     def is_probability(self, tol: float = 1e-12) -> bool:
         return all(w > 0 for _, w in self.atoms) and abs(self.total() - 1.0) <= tol
 

@@ -11,7 +11,7 @@ optional compensated mode uses math.fsum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
+    NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
 )
@@ -69,6 +70,9 @@ def validate(
         raise EmptyInput("need at least one particle")
     if not (x.size == m.size == v.size == th.size):
         raise EmptyInput("positions, masses, velocities, accelerations must have equal length")
+    for name, arr in (("positions", x), ("masses", m), ("velocities", v), ("accelerations", th)):
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue(f"{name} must be finite (no NaN or infinity)")
     if np.any(np.diff(x) <= 0):
         raise NonIncreasingPositions("positions must be strictly increasing")
     if np.any(m <= 0):
@@ -191,11 +195,3 @@ def partition_from_intervals(
         make_cluster(data, g, d, ft) for (g, d), ft in zip(intervals, formed_at)
     )
     return Partition(clusters)
-
-
-def singleton_partition(data: InitialData) -> Partition:
-    return partition_from_intervals(data, [(j, j) for j in range(data.n)], 0.0)
-
-
-def with_admissibility(data: InitialData, flag: bool) -> InitialData:
-    return replace(data, gvp_admissible=flag)

@@ -17,6 +17,7 @@ from stickygas.errors import (
     EmptyInput,
     IdenticalPaths,
     IndexOutOfRange,
+    NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
     PreconditionViolated,
@@ -45,6 +46,14 @@ class TestValidate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             validate([], [], [], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_rejected(self, field, bad):
+        columns = [[0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0]]
+        columns[field][1] = bad
+        with pytest.raises(NonFiniteValue):
+            validate(*columns)
 
 
 class TestClusterAggregates:

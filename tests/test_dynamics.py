@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import stickygas.dynamics as dynamics
 from stickygas import (
     brute_force_partition,
     brute_force_partitions,
@@ -11,9 +13,57 @@ from stickygas import (
     validate,
 )
 from stickygas.errors import TimeOutOfRange
+from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster, Partition
-from stickygas.verify import conservation_suite, sample_times
+from stickygas.verify import conservation_suite, inject_velocity_fault, sample_times
 from tests.conftest import random_data
+
+
+def rescan_simulate(data, t_end=math.inf):
+    """Reference event loop: every step re-solves all adjacent pairs through
+    next_collision and rebuilds the partition from the grouped runs."""
+    clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
+    paths = [interval_path(data, j, j) for j in range(data.n)]
+    events, segments = [], []
+    t_now = 0.0
+    while True:
+        pending = next_collision(Partition(tuple(clusters)), paths, t_now)
+        if pending is None or pending.time > t_end:
+            segments.append((t_now, t_end, [c.interval for c in clusters], paths))
+            return events, segments
+        t_star = max(pending.time, t_now)
+        segments.append((t_now, t_star, [c.interval for c in clusters], paths))
+        groups = []
+        for grp in reversed(pending.groups):
+            g, d = clusters[grp[0]].left_index, clusters[grp[-1]].right_index
+            groups.append(([clusters[k].interval for k in grp],
+                           make_cluster(data, g, d, pending.time)))
+            clusters[grp[0] : grp[-1] + 1] = [groups[-1][1]]
+            paths = paths[: grp[0]] + [interval_path(data, g, d)] + paths[grp[-1] + 1 :]
+        events.append((pending.time, groups[::-1]))
+        t_now = t_star
+
+
+def engine_tables(timeline):
+    events = [(e.time, [(list(grp.members), grp.merged) for grp in e.groups])
+              for e in timeline.events]
+    segments = [(s.t_lo, s.t_hi, list(s.partition.intervals), list(s.paths))
+                for s in timeline.segments]
+    return events, segments
+
+
+def alternating_row(n):
+    """Neighbours approach pairwise: (0,1), (2,3), ... meet at t=1/2 as
+    disjoint groups and then rest."""
+    return validate(np.arange(n, dtype=float), np.ones(n),
+                    [(-1.0) ** j for j in range(n)], np.zeros(n))
+
+
+def lattice_instance(seed, n):
+    """Integer positions and velocities: many exactly simultaneous merges."""
+    rng = np.random.default_rng(seed)
+    return validate(np.arange(n, dtype=float), rng.integers(1, 3, n).astype(float),
+                    rng.integers(-2, 3, n).astype(float), rng.integers(-1, 2, n).astype(float))
 
 
 class TestSimulate:
@@ -81,6 +131,56 @@ class TestNextCollision:
         assert pending.time == pytest.approx(1 + math.sqrt(3), rel=1e-14)
 
 
+class TestHeapScheduler:
+    """simulate must reproduce the full-rescan event loop exactly."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(seed + 5000)
+        data = random_instance(rng, 60, admissible=seed % 2 == 0)
+        assert engine_tables(simulate(data)) == rescan_simulate(data)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_simultaneous_lattice_merges(self, seed):
+        data = lattice_instance(seed, 30)
+        assert engine_tables(simulate(data)) == rescan_simulate(data)
+
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_alternating_row_keeps_disjoint_groups(self, n):
+        data = alternating_row(n)
+        tl = simulate(data)
+        assert engine_tables(tl) == rescan_simulate(data)
+        assert len(tl.events) == 1 and tl.events[0].time == 0.5
+        assert [grp.members for grp in tl.events[0].groups] == [
+            ((j, j), (j + 1, j + 1)) for j in range(0, n - 1, 2)]
+
+    def test_symmetric_pile_up_and_contact(self, triple):
+        # two particles closer than abs_tol with equal velocity and
+        # acceleration: coincident paths, merged at t=0
+        touching = validate([0.0, 5e-10, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, -1.0],
+                            [0.0, 0.0, 0.0])
+        for data in (triple, touching):
+            assert engine_tables(simulate(data)) == rescan_simulate(data)
+        assert simulate(touching).events[0].time == 0.0
+
+    def test_finite_horizon(self):
+        data = lattice_instance(3, 20)
+        tl = simulate(data, t_end=0.7)
+        assert engine_tables(tl) == rescan_simulate(data, 0.7)
+
+    def test_root_solves_only_for_new_pairs(self, monkeypatch):
+        calls = []
+        solve = dynamics.quadratic_meet_times
+        monkeypatch.setattr(dynamics, "quadratic_meet_times",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        for seed in range(5):
+            data = lattice_instance(seed, 40)
+            calls.clear()
+            tl = simulate(data)
+            groups = sum(len(e.groups) for e in tl.events)
+            assert len(calls) <= (data.n - 1) + 2 * groups
+
+
 class TestStateEvaluation:
     def test_initial_condition(self, weighted_pair):
         tl = simulate(weighted_pair)
@@ -110,6 +210,29 @@ class TestStateEvaluation:
             assert xs[i] == pytest.approx(tl.positions_at(t), abs=0)
             assert vs[i] == pytest.approx(tl.velocities_at(t), abs=0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_sample_is_bitwise_pointwise(self, seed, faulted):
+        data = lattice_instance(seed, 25) if seed % 2 else random_data(seed + 4000, 30)[0]
+        tl = simulate(data, t_end=simulate(data).event_times[-1] + 0.5)
+        if faulted:  # a new path object in every segment after the first event
+            tl = inject_velocity_fault(tl)
+        rng = np.random.default_rng(seed)
+        # unsorted, with duplicates, event times and both ends
+        ts = [tl.t_end, *tl.event_times, *rng.uniform(0.0, tl.t_end, 20), 0.0,
+              tl.event_times[0]]
+        for sample, at in ((tl.sample_positions, tl.positions_at),
+                           (tl.sample_velocities, tl.velocities_at),
+                           (tl.sample_accelerations, tl.accelerations_at)):
+            got = sample(ts)
+            assert np.array_equal(got, np.array([at(t) for t in ts]))
+
+    def test_sample_rejects_times_outside(self, weighted_pair):
+        tl = simulate(weighted_pair, t_end=2.0)
+        for bad in (-1e-9, 2.5, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                tl.sample_positions([0.0, bad])
+
 
 class TestBruteForceOracle:
     def test_single_particle(self, single):
@@ -133,6 +256,46 @@ class TestBruteForceOracle:
         parts = brute_force_partitions(data, times, dt)
         for t, part in zip(times, parts):
             assert tl.partition_at(t).intervals == part.intervals
+
+
+class TestOracleGrid:
+    @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.1, 1.0 / 3.0, 7.3e-6])
+    def test_streamed_bounds_equal_materialised_grid(self, dt):
+        rng = np.random.default_rng(int(dt * 1e6))
+        for t_max in (0.0, dt / 2, dt, 37 * dt, 0.05, 0.3):
+            times = sorted([t_max, 0.0, min(3 * dt, t_max), *rng.uniform(0.0, t_max, 3)])
+            grid = np.arange(dt, t_max + dt, dt)
+            expected = np.unique(np.concatenate([grid[grid <= t_max], times]))
+            for chunk in (7, 4096):
+                got = list(dynamics._step_bounds(times, dt, chunk))
+                joined = np.concatenate(got) if got else np.empty(0)
+                assert np.array_equal(joined, expected)
+
+    def test_partitions_independent_of_chunk(self):
+        for seed in range(6):
+            data, rng = random_data(seed + 6000, 6)
+            times = list(rng.uniform(0.0, 3.0, 4))
+            ref = brute_force_partitions(data, times, 1e-3)
+            for chunk in (1, 7, 333):
+                got = brute_force_partitions(data, times, 1e-3, chunk=chunk)
+                assert [p.intervals for p in got] == [p.intervals for p in ref]
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # particles moving apart never merge, so every step up to t is taken
+        data = validate([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        tracemalloc.start()
+        try:
+            parts = brute_force_partitions(data, [20.0], 1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parts[0].intervals == ((0, 0), (1, 1), (2, 2))
+        assert peak < 2 * 2**20  # the whole 2e6-step grid alone is 16 MB
+
+    def test_non_finite_times_rejected(self, head_on):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(TimeOutOfRange):
+                brute_force_partitions(head_on, [1.0, bad], 1e-3)
 
 
 class TestInvariants:

@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stickygas.cli import main
+import stickygas
+from stickygas.cli import _fmt, _write_csv, main
 from stickygas.errors import InstanceFormatError, NonPositiveMass
 from stickygas.instances import (
     instance_document,
@@ -60,6 +67,15 @@ class TestInstanceFormat:
             ' "tolerances": {"abs": 1e-7}}')
         assert inst.tolerances.abs_tol == 1e-7
         assert inst.tolerances.rel_tol == 1e-12
+
+    @pytest.mark.parametrize("field", ['"t_end": {}', '"tolerances": {{"abs": {}}}',
+                                       '"tolerances": {{"rel": {}}}'])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_settings_rejected(self, field, bad):
+        text = ('{"particles": [{"x": 0, "m": 1, "v": 0, "theta": 0}], '
+                + field.format(bad) + "}")
+        with pytest.raises(InstanceFormatError, match="finite"):
+            parse_instance(text)
 
 
 @pytest.fixture
@@ -152,6 +168,42 @@ class TestCli:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert "NonPositiveMass" in capsys.readouterr().err
 
+    def test_non_finite_instance_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"particles": [{"x": 0, "m": 1, "v": NaN, "theta": 0}]}')
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "NonFiniteValue" in capsys.readouterr().err
+        path.write_text(HEAD_ON.replace('"t_end": 3.0', '"t_end": Infinity'))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--t-end", "--tol-abs", "--tol-rel"])
+    def test_non_finite_flag_exit_code(self, instance_file, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(instance_file), "--out-dir", str(tmp_path / "o"),
+                  flag, "nan"])
+        assert exc.value.code == 2
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_csv_float_rows_format_like_fmt(tmp_path):
+    rows = [
+        [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1.0 / 3.0, np.float64(2.5)],
+        [1.5, True, False, 7, -0.0, "a-b", np.float64(-0.0), np.float64(math.nan)],
+        [],
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["h"], rows)
+    expected = "\n".join(["h"] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(stickygas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, stickygas.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
