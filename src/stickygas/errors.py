@@ -53,6 +53,10 @@ class InconsistentEndpoints(StickyError):
     silently."""
 
 
+class SamplingExhausted(StickyError):
+    """No admissible sample time found within the attempt cap."""
+
+
 class UndefinedFieldPoint(StickyError):
     """Eulerian field evaluated off the support of the current mass measure."""
 

@@ -279,34 +279,6 @@ def velocity_space_fields(
     return VelocityFields(t, mu, mu_left, w, w_left, a)
 
 
-class VelocityMeasureField:
-    """Time-indexed access to the velocity law and its weighted variants."""
-
-    def __init__(self, timeline: ShockTimeline, tol: Tolerances = DEFAULT_TOL):
-        self.timeline = timeline
-        self.tol = tol
-        self.shock_times = list(timeline.event_times)
-
-    def fields(self, t: float) -> VelocityFields:
-        return velocity_space_fields(self.timeline, t, self.tol)
-
-    def mu(self, t: float) -> DiscreteMeasure:
-        return self.fields(t).mu
-
-    def mu_left(self, t: float) -> DiscreteMeasure:
-        return self.fields(t).mu_left
-
-    def w_mu(self, t: float) -> DiscreteMeasure:
-        fl = self.fields(t)
-        return DiscreteMeasure(tuple(
-            (v, wt * w) for (v, wt), w in zip(fl.mu.atoms, fl.w)))
-
-    def w2_plus_a_mu(self, t: float) -> DiscreteMeasure:
-        fl = self.fields(t)
-        return DiscreteMeasure(tuple(
-            (v, wt * (w * w + a)) for (v, wt), w, a in zip(fl.mu.atoms, fl.w, fl.a)))
-
-
 def _jump_sums(
     timeline: ShockTimeline,
     f: TestFunction,

@@ -9,8 +9,12 @@ reconstructs the partition without ever running the collision dynamics.
 
 The certification is only guaranteed for non-increasing acceleration
 profiles, and degenerates to equalities exactly at shock times; callers
-sample away from shocks.  Endpoint tests are O(N) each after prefix sums,
-so a partition costs O(N^2) -- clarity over asymptotics at desk scale.
+sample away from shocks.  Left endpoint k+1 and right endpoint k are the
+same test, so a time has N-1 distinct split margins.  A partition, and its
+tie list, comes from one vectorised pass over the upper triangle of the
+(a, b) average table, a block of rows at a time: O(N^2) arithmetic in numpy
+and O(N) Python.  The per-index endpoint tests stay as the independent,
+O(N)-each reference.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .dynamics import ShockTimeline, simulate
 from .errors import InadmissibleData, InconsistentEndpoints, IndexOutOfRange
 from .model import InitialData, Partition, partition_from_intervals
 from .tolerances import DEFAULT_TOL, Tolerances
+
+_BLOCK = 1 << 13  # average-table entries per row block of split_margins (64 kB per temporary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +99,34 @@ class GvpFunctional:
         rights = self._avgs_starting_at(beta + 1)
         return float(rights.min() - lefts.max())
 
+    @cached_property
+    def split_margins(self) -> np.ndarray:
+        """m[k] = min_{j>k} avg[k+1, j] - max_{i<=k} avg[i, k] for k < N-1.
+
+        Entry k is left_endpoint_margin(k+1) and right_endpoint_margin(k),
+        float for float: the table entries come from _avg on the same prefix
+        differences, and min/max are exact.  Rows are taken a block at a time
+        so the temporaries stay near _BLOCK entries whatever N is."""
+        n = self.data.n
+        pm, px, pv, pth = self._prefix
+        row_min = np.empty(n)
+        col_max = np.full(n, -np.inf)
+        a0 = 0
+        while a0 < n:
+            a1 = min(n, a0 + max(1, _BLOCK // (n - a0)))
+            # table[a - a0, b - a0] = avg over [a, b] for a in [a0, a1), b >= a0
+            with np.errstate(divide="ignore", invalid="ignore"):  # b < a, masked below
+                table = self._avg(pm[a0 + 1:] - pm[a0:a1, None], px[a0 + 1:] - px[a0:a1, None],
+                                  pv[a0 + 1:] - pv[a0:a1, None], pth[a0 + 1:] - pth[a0:a1, None])
+            below = np.tri(a1 - a0, k=-1, dtype=bool)
+            square = table[:, :a1 - a0]
+            square[below] = np.inf
+            row_min[a0:a1] = table.min(axis=1)
+            square[below] = -np.inf
+            np.maximum(col_max[a0:], table.max(axis=0), out=col_max[a0:])
+            a0 = a1
+        return row_min[1:] - col_max[:-1]
+
 
 def interior_condition(F: GvpFunctional, g: int, d: int, y: int) -> bool:
     """Interior inequality at split y of interval [g, d]: the average over
@@ -116,19 +150,21 @@ def is_right_endpoint(F: GvpFunctional, beta: int) -> bool:
 
 
 def endpoint_tie_indices(F: GvpFunctional) -> list[int]:
-    """Indices whose endpoint test sits within tolerance of equality.
+    """Indices whose endpoint test sits within tolerance of equality: both
+    sides k and k+1 of every split margin with |m[k]| <= abs_tol.
 
     Such ties are expected exactly at shock times; anywhere else they are
     flagged for the caller rather than silently resolved."""
-    ties = []
-    for i in range(F.data.n):
-        lm = F.left_endpoint_margin(i)
-        rm = F.right_endpoint_margin(i)
-        if (lm is not math.inf and abs(lm) <= F.tol.abs_tol) or (
-            rm is not math.inf and abs(rm) <= F.tol.abs_tol
-        ):
-            ties.append(i)
-    return ties
+    tied = np.flatnonzero(np.abs(F.split_margins) <= F.tol.abs_tol).tolist()
+    return sorted({*tied, *(k + 1 for k in tied)})
+
+
+def _certified_intervals(F: GvpFunctional) -> tuple[tuple[int, int], ...]:
+    """Cut after k iff split margin k certifies (m[k] > abs_tol).  Margin k is
+    both the left test of k+1 and the right test of k, so the certified
+    endpoints always pair into a contiguous cover."""
+    cuts = np.flatnonzero(F.split_margins > F.tol.abs_tol).tolist()
+    return tuple(zip([0] + [k + 1 for k in cuts], cuts + [F.data.n - 1]))
 
 
 def clusters_from_gvp(
@@ -140,10 +176,9 @@ def clusters_from_gvp(
 ) -> Partition:
     """Partition at time t reconstructed from endpoint certificates alone.
 
-    Collects all certified left and right endpoints, pairs them in order and
-    asserts they assemble into a contiguous cover.  A failure to assemble
-    raises InconsistentEndpoints: either t sits on a shock (out of contract)
-    or the data is a genuine counterexample; never repaired silently.
+    Within the abs_tol band a margin counts as equality and does not cut, so
+    a time on a shock gives the merged side.  InadmissibleData unless the
+    acceleration profile is non-increasing or require_admissible is off.
     """
     if require_admissible and not data.gvp_admissible:
         raise InadmissibleData(
@@ -151,17 +186,7 @@ def clusters_from_gvp(
             "guaranteed for non-increasing profiles (a pair with increasing "
             "acceleration re-crosses after its shock, breaking the inequality)")
     F = GvpFunctional(data, t, include_acceleration, tol)
-    lefts = [i for i in range(data.n) if is_left_endpoint(F, i)]
-    rights = [i for i in range(data.n) if is_right_endpoint(F, i)]
-    if len(lefts) != len(rights):
-        raise InconsistentEndpoints(
-            f"{len(lefts)} left vs {len(rights)} right endpoints at t={t}")
-    for k, (a, b) in enumerate(zip(lefts, rights)):
-        ok = a <= b and (k == 0 or lefts[k] == rights[k - 1] + 1)
-        if not ok:
-            raise InconsistentEndpoints(
-                f"endpoints do not interleave at t={t}: lefts={lefts}, rights={rights}")
-    return partition_from_intervals(data, list(zip(lefts, rights)), t)
+    return partition_from_intervals(data, _certified_intervals(F), t)
 
 
 def classical_clusters(data: InitialData, t: float, tol: Tolerances = DEFAULT_TOL) -> Partition:
@@ -206,9 +231,8 @@ def classical_clusters(data: InitialData, t: float, tol: Tolerances = DEFAULT_TO
 class GvpComparison:
     time: float
     simulated: tuple[tuple[int, int], ...]
-    reconstructed: tuple[tuple[int, int], ...] | None
+    reconstructed: tuple[tuple[int, int], ...]
     match: bool
-    error: str | None = None
     ties: tuple[int, ...] = ()
 
 
@@ -244,10 +268,6 @@ def gvp_equivalence_check(
         sim = timeline.partition_at(t).intervals
         F = GvpFunctional(data, t, True, tol)
         ties = tuple(endpoint_tie_indices(F))
-        try:
-            gvp = clusters_from_gvp(data, t, tol, require_admissible=False)
-        except InconsistentEndpoints as exc:
-            entries.append(GvpComparison(t, sim, None, False, str(exc), ties))
-            continue
-        entries.append(GvpComparison(t, sim, gvp.intervals, gvp.intervals == sim, None, ties))
+        gvp = _certified_intervals(F)
+        entries.append(GvpComparison(t, sim, gvp, gvp == sim, ties))
     return GvpEquivalenceReport(data, tuple(entries))

@@ -11,7 +11,6 @@ from stickygas import (
 )
 from stickygas.errors import WindowOutOfRange
 from stickygas.gas import (
-    VelocityMeasureField,
     congestion_onset_delay,
     continuity_conditions_check,
     force_jump_total,
@@ -135,13 +134,14 @@ class TestVelocityFields:
         tl = simulate(congestion_pair)
         assert velocity_coincidence_times(tl, 3.0) == pytest.approx([1.0])
 
-    def test_measure_field_wrapper(self, congestion_pair):
+    def test_weighted_law_totals(self, congestion_pair):
         tl = simulate(congestion_pair)
-        field = VelocityMeasureField(tl)
-        assert field.mu(0.5).is_probability()
-        assert field.w_mu(1.0).total() == pytest.approx(0.5)
-        assert field.w2_plus_a_mu(1.0).total() == pytest.approx(0.25 + 0.25)
-        assert field.shock_times == list(tl.event_times)
+        assert velocity_space_fields(tl, 0.5).mu.is_probability()
+        fl = velocity_space_fields(tl, 1.0)
+        weights = [wt for _, wt in fl.mu.atoms]
+        assert sum(wt * w for wt, w in zip(weights, fl.w)) == pytest.approx(0.5)
+        assert sum(wt * (w * w + a) for wt, w, a in zip(weights, fl.w, fl.a)) == (
+            pytest.approx(0.25 + 0.25))
 
 
 class TestVelocityResiduals:

@@ -13,8 +13,9 @@ from stickygas import (
     simulate,
     validate,
 )
-from stickygas.errors import InadmissibleData, IndexOutOfRange
-from stickygas.gvp import classical_clusters
+from stickygas import gvp
+from stickygas.errors import InadmissibleData, IndexOutOfRange, SamplingExhausted
+from stickygas.gvp import classical_clusters, endpoint_tie_indices
 from stickygas.verify import sample_times
 from tests.conftest import random_data
 
@@ -148,17 +149,110 @@ class TestPerClusterInvariant:
                     assert not is_right_endpoint(F, y)
 
     def test_endpoint_sets_assemble_even_on_degenerate_data(self):
-        """Integer free-flight values maximize ties; the endpoint sets must
-        still pair into a partition (the inconsistency abort is defensive)."""
+        """Integer free-flight values maximize ties; the certified left and
+        right endpoint sets still pair into the reconstructed partition."""
         rng = np.random.default_rng(0)
         for _ in range(3000):
             n = int(rng.integers(3, 6))
             eta = rng.integers(-3, 4, n).astype(float)
             x = np.arange(n, dtype=float)
             d = validate(x, rng.integers(1, 4, n).astype(float), eta - x, np.zeros(n))
-            part = clusters_from_gvp(d, 1.0)  # raises InconsistentEndpoints if broken
+            part = clusters_from_gvp(d, 1.0)
+            F = GvpFunctional(d, 1.0)
+            lefts = [i for i in range(n) if is_left_endpoint(F, i)]
+            rights = [i for i in range(n) if is_right_endpoint(F, i)]
+            assert part.intervals == tuple(zip(lefts, rights))
             assert part.intervals[0][0] == 0
             assert part.intervals[-1][1] == n - 1
+
+
+def _reference_margins(F):
+    """Split margins from the per-index certificate functions."""
+    return np.array([F.left_endpoint_margin(k + 1) for k in range(F.data.n - 1)])
+
+
+def _reference_ties(F):
+    """The per-index tie scan that split_margins replaced."""
+    ties = []
+    for i in range(F.data.n):
+        lm = F.left_endpoint_margin(i)
+        rm = F.right_endpoint_margin(i)
+        if (lm is not math.inf and abs(lm) <= F.tol.abs_tol) or (
+            rm is not math.inf and abs(rm) <= F.tol.abs_tol
+        ):
+            ties.append(i)
+    return ties
+
+
+def _random_cases():
+    """Random instances as drawn, then with the accelerations sorted the
+    inadmissible way (increasing), each with and without acceleration."""
+    for seed in range(60):
+        data, rng = random_data(seed + 21_000, n_max=30)
+        rising = validate(data.positions, data.masses, data.velocities,
+                          np.sort(data.accelerations))
+        for d in (data, rising):
+            t = float(rng.uniform(0, 4))
+            for acc in (True, False):
+                yield GvpFunctional(d, t, acc)
+    d = validate(**CASE1)
+    for t in (0.3, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2) + 0.5, 9.0):
+        for acc in (True, False):
+            yield GvpFunctional(d, t, acc)
+
+
+class TestSplitMargins:
+    def test_equal_to_endpoint_margins(self):
+        for F in _random_cases():
+            m = F.split_margins
+            assert np.array_equal(m, _reference_margins(F))
+            assert np.array_equal(
+                m, [F.right_endpoint_margin(k) for k in range(F.data.n - 1)])
+
+    def test_right_margin_is_left_margin_of_next_index(self):
+        for F in _random_cases():
+            for b in range(F.data.n - 1):
+                right, left = F.right_endpoint_margin(b), F.left_endpoint_margin(b + 1)
+                assert np.float64(right).tobytes() == np.float64(left).tobytes()
+
+    def test_one_and_two_particles(self, single, head_on):
+        F = GvpFunctional(single, 0.7)
+        assert F.split_margins.shape == (0,)
+        assert endpoint_tie_indices(F) == []
+        assert clusters_from_gvp(single, 0.7).intervals == ((0, 0),)
+        for t in (0.5, 1.0, 2.0):
+            F = GvpFunctional(head_on, t)
+            assert np.array_equal(F.split_margins, [F.left_endpoint_margin(1)])
+        assert endpoint_tie_indices(GvpFunctional(head_on, 1.0)) == [0, 1]
+
+    def test_several_row_blocks(self):
+        rng = np.random.default_rng(3)
+        n = 300
+        assert gvp._BLOCK // n < n  # the table takes more than one block
+        x = np.cumsum(rng.uniform(0.1, 1.0, n))
+        d = validate(x, rng.uniform(0.1, 10, n), rng.normal(size=n),
+                     -np.sort(rng.normal(size=n)))
+        for t in (0.0, 0.8, 5.0):
+            F = GvpFunctional(d, t)
+            assert np.array_equal(F.split_margins, _reference_margins(F))
+
+    def test_ties_equal_the_per_index_scan_at_shocks(self):
+        """Integer data evaluated at its own shock times, where ties occur."""
+        rng = np.random.default_rng(5)
+        tied = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            x = np.sort(rng.choice(np.arange(-6, 7), n, replace=False)).astype(float)
+            d = validate(x, rng.integers(1, 4, n).astype(float),
+                         rng.integers(-3, 4, n).astype(float),
+                         -np.sort(rng.integers(-2, 3, n)).astype(float))
+            for t in [0.0, *simulate(d).event_times]:
+                F = GvpFunctional(d, t)
+                ties = endpoint_tie_indices(F)
+                assert ties == _reference_ties(F)
+                assert all(type(i) is int for i in ties)
+                tied += bool(ties)
+        assert tied > 100
 
 
 class TestClassicalReduction:
@@ -170,6 +264,20 @@ class TestClassicalReduction:
             new = clusters_from_gvp(data, t)
             classical = classical_clusters(data, t)
             assert new.intervals == classical.intervals
+
+
+class TestSampleTimes:
+    def test_window_inside_a_shock_neighbourhood_raises(self, head_on):
+        tl = simulate(head_on)  # one shock, at t = 1
+        with pytest.raises(SamplingExhausted, match="min_gap"):
+            sample_times(tl, np.random.default_rng(0), 3, min_gap=1.0, lo=0.5, hi=1.5)
+
+    def test_draws_below_the_cap_are_unchanged(self, head_on):
+        tl = simulate(head_on)
+        rng = np.random.default_rng(7)
+        expect = [t for t in rng.uniform(0.0, 3.0, 200) if abs(t - 1.0) >= 0.4][:20]
+        got = sample_times(tl, np.random.default_rng(7), 20, min_gap=0.4, lo=0.0, hi=3.0)
+        assert got == expect
 
 
 class TestCase2TwoParticle:

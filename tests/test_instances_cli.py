@@ -183,6 +183,17 @@ class TestCli:
                   flag, "nan"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["gvp", "dermoune"])
+    @pytest.mark.parametrize("times", ["1.0,abc", "x", "0.5,", "nan", "0.5,inf"])
+    def test_bad_times_exit_code(self, instance_file, tmp_path, capsys, command, times):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(instance_file), "--times", times, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--times" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 2
