@@ -22,7 +22,13 @@ from .dynamics import ShockTimeline, simulate
 from .errors import InadmissibleData, StickyError
 from .flow import dermoune_identity_residuals, right_derivative_check
 from .gvp import gvp_equivalence_check
-from .instances import Instance, instance_document, load_instance, random_instance
+from .instances import (
+    Instance,
+    instance_dict,
+    instance_document,
+    load_instance,
+    random_instance,
+)
 from .testfunctions import covering_test_functions
 from .tolerances import Tolerances
 from .verify import (
@@ -56,11 +62,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, instance_text: str | None,
+def _write_manifest(out_dir: Path, command: str, instance: dict | None,
                     params: dict, outputs: list[str]) -> None:
     doc = {
         "command": command,
-        "instance": json.loads(instance_text) if instance_text else None,
+        "instance": instance,
         "parameters": params,
         "outputs": sorted(outputs),
     }
@@ -127,7 +133,7 @@ def cmd_simulate(args) -> int:
               + [f"theta{j}" for j in range(n)])
     _write_csv(out / "trajectory.csv", header, rows)
 
-    _write_manifest(out, "simulate", instance_document(inst.data, inst.t_end, inst.seed),
+    _write_manifest(out, "simulate", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"t_end": t_end, "samples": args.samples,
                      "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},
                     ["events.csv", "trajectory.csv"])
@@ -157,7 +163,7 @@ def cmd_gvp(args) -> int:
     _write_csv(out / "gvp_report.csv",
                ["time", "verdict", "simulated", "reconstructed", "error", "tie_indices"],
                rows)
-    _write_manifest(out, "gvp", instance_document(inst.data, inst.t_end, inst.seed),
+    _write_manifest(out, "gvp", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"times": args.times, "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},
                     ["gvp_report.csv"])
     return OK if report.all_match else VERIFICATION_FAILURE
@@ -215,7 +221,7 @@ def cmd_gas(args) -> int:
     _write_csv(out / "congestion.csv",
                ["t", "velocity", "weight", "w", "a"], cong_rows)
 
-    _write_manifest(out, "gas", instance_document(inst.data, inst.t_end, inst.seed),
+    _write_manifest(out, "gas", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"window": [t1, t2], "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},
                     ["position_residuals.csv", "velocity_residuals.csv", "congestion.csv"])
     return OK if all_pass else VERIFICATION_FAILURE
@@ -244,7 +250,7 @@ def cmd_dermoune(args) -> int:
     _write_csv(out / "derivatives.csv",
                ["t", "h", "pos_fd_error", "pos_fd_error_vs_predicted", "vel_fd_error"],
                der_rows)
-    _write_manifest(out, "dermoune", instance_document(inst.data, inst.t_end, inst.seed),
+    _write_manifest(out, "dermoune", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"times": args.times, "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},
                     ["dermoune.csv", "derivatives.csv"])
     return OK if all_pass else VERIFICATION_FAILURE

@@ -11,8 +11,15 @@ cluster acceleration given the velocity).  Velocities jump at shocks, so
 signed jump measures collected at the shock times inside the window enter
 the right-hand side; residuals are reported with and without them.
 
-Time integrals run segment-wise between shocks with adaptive quadrature;
-inside expectations the conditioning collapses (tower property), so the
+Time integrals run segment-wise between shocks, split again wherever a
+cluster position or velocity crosses a knot of the test function.  On each
+piece every integrand is a polynomial in t (degree <= 12 for the built-in
+test functions), so a fixed 8-node Gauss-Legendre rule, exact to degree 15,
+gives the integral up to rounding.  The reported `quad_error` is the sum
+over pieces of |G8 - G7|, the gap to the 7-node rule (exact to degree 13):
+rounding-level for the built-in test functions, a real error estimate for
+a test function that is not piecewise polynomial (see TestFunction).
+Inside expectations the conditioning collapses (tower property), so the
 integrands are plain mass-weighted sums over clusters.
 """
 
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,16 +39,21 @@ from .model import InitialData
 from .testfunctions import TestFunction
 from .tolerances import DEFAULT_TOL, Tolerances
 
-QUAD_TOL = 1e-10
 RESIDUAL_FLOOR = 1e-8
 
 
-def quad(func, a, b, *args, **kwargs):
-    """scipy.integrate.quad, imported on first use: loading scipy takes
-    longer than a small simulate or gvp command, and neither integrates."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, *args, **kwargs)
+@cache
+def _gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the n-node Gauss-Legendre rule on
+    [-1, 1]: eigenvalues of the Jacobi matrix and the squared first
+    components of its eigenvectors (Golub & Welsch 1969).  Agrees with
+    numpy.polynomial.legendre.leggauss to rounding; importing that package
+    would cost every command 1.5 MB and a few ms, and this LAPACK call
+    another 0.9 MB, so the rule is built on first use only."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,30 @@ def _velocity_kinks(seg: Segment, f: TestFunction, a: float, b: float) -> list[f
     return out
 
 
+def _gauss_legendre(
+    integrand: Callable[[np.ndarray], np.ndarray], pieces: np.ndarray
+) -> tuple[float, float]:
+    """Integral of `integrand` over consecutive `pieces` (increasing break
+    points) by the 8-node rule, and the summed |G8 - G7| gap to the 7-node
+    rule.  The integrand maps a 1-D array of times to an array of values;
+    all nodes of all pieces are evaluated in one call."""
+    x8, w8 = _gauss_legendre_rule(8)
+    x7, w7 = _gauss_legendre_rule(7)
+    half = 0.5 * np.diff(pieces)
+    mid = 0.5 * (pieces[:-1] + pieces[1:])
+    t = mid[:, None] + half[:, None] * np.concatenate([x8, x7])
+    vals = integrand(t.ravel()).reshape(t.shape)
+    g8 = half * (vals[:, :8] @ w8)
+    g7 = half * (vals[:, 8:] @ w7)
+    return float(g8.sum()), float(np.abs(g8 - g7).sum())
+
+
 def _integrate_over_segments(
     timeline: ShockTimeline,
     t1: float,
     t2: float,
-    make_integrand: Callable[[Segment], Callable[[float], float]],
-    quad_tol: float,
-    kinks: Callable[[Segment, float, float], list[float]] | None = None,
+    make_integrand: Callable[[Segment], Callable[[np.ndarray], np.ndarray]],
+    kinks: Callable[[Segment, float, float], list[float]],
 ) -> tuple[float, float]:
     cuts = [t1] + [s for s in timeline.event_times if t1 < s < t2] + [t2]
     total = err = 0.0
@@ -129,14 +159,11 @@ def _integrate_over_segments(
         if b <= a:
             continue
         seg = timeline.segment_at(a)
-        integrand = make_integrand(seg)
-        pieces = [a] + (sorted(set(kinks(seg, a, b))) if kinks else []) + [b]
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            if hi <= lo:
-                continue
-            val, e = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-            total += val
-            err += e
+        # kinks lie strictly inside (a, b), so the pieces are increasing
+        pieces = np.array([a, *sorted(set(kinks(seg, a, b))), b])
+        val, e = _gauss_legendre(make_integrand(seg), pieces)
+        total += val
+        err += e
     return total, err
 
 
@@ -149,7 +176,6 @@ def position_space_residuals(
     f: TestFunction,
     t1: float,
     t2: float,
-    quad_tol: float = QUAD_TOL,
 ) -> tuple[ResidualReport, ResidualReport]:
     """Weak residuals of the continuity and forced momentum equations for the
     position law, over [t1, t2].  Jump columns are identically zero here."""
@@ -166,40 +192,46 @@ def position_space_residuals(
     mass2, mom2 = endpoint_terms(t2)
     mass1, mom1 = endpoint_terms(t1)
 
+    # integrands map an array of times to one value per time: rows are
+    # times, columns clusters
+
     def mass_integrand(seg: Segment):
         wgt, c0, c1, c2, _ = _segment_arrays(seg, M)
 
-        def integrand(t: float) -> float:
+        def integrand(t: np.ndarray) -> np.ndarray:
+            t = t[:, None]
             pos = c0 + t * (c1 + 0.5 * t * c2)
-            return float(wgt @ (f.prime(pos) * (c1 + t * c2)))
+            return (f.prime(pos) * (c1 + t * c2)) @ wgt
 
         return integrand
 
     def momentum_integrand(seg: Segment):
         wgt, c0, c1, c2, _ = _segment_arrays(seg, M)
 
-        def integrand(t: float) -> float:
+        def integrand(t: np.ndarray) -> np.ndarray:
+            t = t[:, None]
             pos = c0 + t * (c1 + 0.5 * t * c2)
             vel = c1 + t * c2
-            return float(wgt @ (f.prime(pos) * vel * vel))
+            return (f.prime(pos) * vel * vel) @ wgt
 
         return integrand
 
     def source_integrand(seg: Segment):
         wgt, c0, c1, c2, theta = _segment_arrays(seg, M)
 
-        def integrand(t: float) -> float:
+        def integrand(t: np.ndarray) -> np.ndarray:
+            t = t[:, None]
             pos = c0 + t * (c1 + 0.5 * t * c2)
-            return float(wgt @ (f(pos) * theta))
+            return (f(pos) * theta) @ wgt
 
         return integrand
 
     def cuts(seg, a, b):
         return _position_kinks(seg, f, a, b)
 
-    tr1, e1 = _integrate_over_segments(timeline, t1, t2, mass_integrand, quad_tol, cuts)
-    tr2, e2 = _integrate_over_segments(timeline, t1, t2, momentum_integrand, quad_tol, cuts)
-    src, e3 = _integrate_over_segments(timeline, t1, t2, source_integrand, quad_tol, cuts)
+    tr1, e1 = _integrate_over_segments(timeline, t1, t2, mass_integrand, cuts)
+    tr2, e2 = _integrate_over_segments(timeline, t1, t2, momentum_integrand, cuts)
+    src, e3 = _integrate_over_segments(timeline, t1, t2, source_integrand, cuts)
 
     mass_eq = ResidualReport("position/mass", f.name, (t1, t2),
                              mass2 - mass1, tr1, 0.0, 0.0, e1)
@@ -243,27 +275,28 @@ class VelocityFields:
 def _group_velocity_atoms(
     vels: np.ndarray, wgts: np.ndarray, gammas: np.ndarray, tol: Tolerances
 ) -> tuple[DiscreteMeasure, tuple[float, ...], tuple[float, ...]]:
+    """Velocity atoms (chained within tol.abs_tol after a stable sort) with
+    the weighted mean and variance of gammas per atom."""
     order = np.argsort(vels, kind="stable")
-    atoms: list[tuple[float, float]] = []
-    ws: list[float] = []
-    avars: list[float] = []
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i + 1
-        while j < n and vels[order[j]] - vels[order[j - 1]] <= tol.abs_tol:
-            j += 1
-        sel = order[i:j]
-        weight = float(wgts[sel].sum())
-        v = float((wgts[sel] * vels[sel]).sum() / weight)
-        w = float((wgts[sel] * gammas[sel]).sum() / weight)
-        # centered form keeps the variance nonnegative in floating point
-        a = float((wgts[sel] * (gammas[sel] - w) ** 2).sum() / weight)
-        atoms.append((v, weight))
-        ws.append(w)
-        avars.append(a)
-        i = j
-    return DiscreteMeasure(tuple(atoms)), tuple(ws), tuple(avars)
+    v, wg, g = vels[order], wgts[order], gammas[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(v) > tol.abs_tol) + 1))
+    sizes = np.diff(np.append(starts, len(v)))
+    # "+ 0.0" turns a -0.0 sum into 0.0, as ndarray.sum does
+    weight = np.add.reduceat(wg, starts) + 0.0
+    vbar = (np.add.reduceat(wg * v, starts) + 0.0) / weight
+    w = (np.add.reduceat(wg * g, starts) + 0.0) / weight
+    # centered form keeps the variance nonnegative in floating point
+    a = (np.add.reduceat(wg * (g - np.repeat(w, sizes)) ** 2, starts) + 0.0) / weight
+    # reduceat adds sequentially, ndarray.sum does not from 3 terms on: keep
+    # the ndarray.sum floats for larger groups
+    for k in np.flatnonzero(sizes > 2):
+        sel = slice(starts[k], starts[k] + sizes[k])
+        weight[k] = wg[sel].sum()
+        vbar[k] = (wg[sel] * v[sel]).sum() / weight[k]
+        w[k] = (wg[sel] * g[sel]).sum() / weight[k]
+        a[k] = (wg[sel] * (g[sel] - w[k]) ** 2).sum() / weight[k]
+    atoms = tuple(zip(vbar.tolist(), weight.tolist()))
+    return DiscreteMeasure(atoms), tuple(w.tolist()), tuple(a.tolist())
 
 
 def velocity_space_fields(
@@ -306,7 +339,6 @@ def velocity_space_residuals(
     f: TestFunction,
     t1: float,
     t2: float,
-    quad_tol: float = QUAD_TOL,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[ResidualReport, ResidualReport]:
     """Weak residuals of the velocity-space system over [t1, t2].
@@ -329,24 +361,24 @@ def velocity_space_residuals(
     def flux_integrand(seg: Segment):
         wgt, _, c1, c2, theta = _segment_arrays(seg, M)
 
-        def integrand(t: float) -> float:
-            return float(wgt @ (f.prime(c1 + t * c2) * theta))
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return (f.prime(c1 + t[:, None] * c2) * theta) @ wgt
 
         return integrand
 
     def second_moment_integrand(seg: Segment):
         wgt, _, c1, c2, theta = _segment_arrays(seg, M)
 
-        def integrand(t: float) -> float:
-            return float(wgt @ (f.prime(c1 + t * c2) * theta * theta))
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return (f.prime(c1 + t[:, None] * c2) * theta * theta) @ wgt
 
         return integrand
 
     def cuts(seg, a, b):
         return _velocity_kinks(seg, f, a, b)
 
-    tr1, e1 = _integrate_over_segments(timeline, t1, t2, flux_integrand, quad_tol, cuts)
-    tr2, e2 = _integrate_over_segments(timeline, t1, t2, second_moment_integrand, quad_tol, cuts)
+    tr1, e1 = _integrate_over_segments(timeline, t1, t2, flux_integrand, cuts)
+    tr2, e2 = _integrate_over_segments(timeline, t1, t2, second_moment_integrand, cuts)
     j_mu, j_wmu = _jump_sums(timeline, f, t1, t2, tol)
 
     mass_eq = ResidualReport("velocity/mass", f.name, (t1, t2),
@@ -411,20 +443,20 @@ def velocity_coincidence_times(
         t_max = timeline.t_end
         if math.isinf(t_max):
             t_max = (timeline.event_times[-1] + 1.0) if timeline.events else 1.0
-    out: set[float] = set()
-    for seg in timeline.segments:
-        k = len(seg.paths)
-        hi = min(seg.t_hi, t_max)
-        for i in range(k):
-            for j in range(i + 1, k):
-                dc2 = seg.paths[i].c2 - seg.paths[j].c2
-                dc1 = seg.paths[j].c1 - seg.paths[i].c1
-                if dc2 == 0.0:
-                    continue
-                tc = dc1 / dc2
-                if seg.t_lo < tc < hi and tc > 0.0:
-                    out.add(tc)
-    return sorted(out)
+    found = []
+    # tc[r, c] = (c1[c] - c1[r]) / (c2[r] - c2[c]) is the pair (r, c) for
+    # r < c; the lower triangle repeats those floats (negating both
+    # differences is exact), and equal accelerations (or an overflow) give
+    # +-inf or nan, which the window drops
+    with np.errstate(all="ignore"):
+        for seg in timeline.segments:
+            c1 = np.array([p.c1 for p in seg.paths])
+            c2 = np.array([p.c2 for p in seg.paths])
+            tc = c1 - c1[:, None]
+            tc /= c2[:, None] - c2
+            hi = min(seg.t_hi, t_max)
+            found.append(tc[(seg.t_lo < tc) & (tc < hi) & (tc > 0.0)])
+    return sorted(set(np.concatenate(found).tolist()))
 
 
 def congestion_onset_delay(data: InitialData, first_shock: float) -> float:

@@ -95,13 +95,13 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
-def instance_document(
+def instance_dict(
     data: InitialData,
     t_end: float | None = None,
     seed: int | None = None,
     tolerances: Tolerances | None = None,
-) -> str:
-    """Canonical JSON text; floats serialize via repr so reloading is exact."""
+) -> dict:
+    """The instance document as plain JSON-ready Python values."""
     doc: dict = {
         "particles": [
             {"x": float(x), "m": float(m), "v": float(v), "theta": float(th)}
@@ -115,7 +115,17 @@ def instance_document(
         doc["seed"] = int(seed)
     if tolerances is not None and tolerances != Tolerances():
         doc["tolerances"] = {"abs": tolerances.abs_tol, "rel": tolerances.rel_tol}
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def instance_document(
+    data: InitialData,
+    t_end: float | None = None,
+    seed: int | None = None,
+    tolerances: Tolerances | None = None,
+) -> str:
+    """Canonical JSON text; floats serialize via repr so reloading is exact."""
+    return json.dumps(instance_dict(data, t_end, seed, tolerances), indent=2)
 
 
 def random_instance(

@@ -14,14 +14,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A test function f with its derivative df, both accepting arrays.
+
+    The weak-form residuals integrate in time with a fixed 8-node
+    Gauss-Legendre rule, split wherever a trajectory crosses a knot.  When
+    f is a polynomial of degree <= 6 between consecutive knots, every
+    integrand is a polynomial of degree <= 12 in t, which both the 8-node
+    rule (exact to degree 15) and the 7-node rule (degree 13) integrate
+    exactly: the integrals are exact up to rounding and `quad_error` is
+    rounding-level.  Otherwise `quad_error` reports the gap between the
+    two rules."""
+
     __test__ = False  # not a pytest collection target
 
     name: str
     f: Callable
     df: Callable
     support: tuple[float, float]
-    # locations where higher derivatives jump; quadrature must split when a
-    # trajectory crosses one, or the error estimator can be fooled
+    # locations where f or a derivative changes formula; quadrature splits
+    # where a trajectory crosses one
     knots: tuple[float, ...] = ()
 
     def __call__(self, x):

@@ -11,6 +11,12 @@ from stickygas import (
 )
 from stickygas.errors import WindowOutOfRange
 from stickygas.gas import (
+    _gauss_legendre,
+    _gauss_legendre_rule,
+    _group_velocity_atoms,
+    _position_kinks,
+    _segment_arrays,
+    _velocity_kinks,
     congestion_onset_delay,
     continuity_conditions_check,
     force_jump_total,
@@ -19,6 +25,8 @@ from stickygas.gas import (
     jump_measure,
     velocity_coincidence_times,
 )
+from stickygas.instances import random_instance
+from stickygas.measures import DiscreteMeasure
 from stickygas.testfunctions import (
     TestFunction,
     bump,
@@ -26,6 +34,7 @@ from stickygas.testfunctions import (
     cubic_bspline,
     finite_difference_mismatch,
 )
+from stickygas.tolerances import Tolerances
 from tests.conftest import random_data
 
 
@@ -42,6 +51,137 @@ def plateau(lo: float, hi: float, ramp: float) -> TestFunction:
         return (f(np.asarray(x) + h) - f(np.asarray(x) - h)) / (2 * h)
 
     return TestFunction("plateau", f, df, (lo - ramp, hi + ramp), (lo - ramp, lo, hi, hi + ramp))
+
+
+def _adaptive_integral(tl, t1, t2, make_integrand, kinks):
+    """scipy.integrate.quad over the pieces the residuals integrate over."""
+    from scipy.integrate import quad
+
+    cuts = [t1] + [s for s in tl.event_times if t1 < s < t2] + [t2]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        seg = tl.segment_at(a)
+        integrand = make_integrand(seg)
+        pieces = [a] + sorted(set(kinks(seg, a, b))) + [b]
+        for lo, hi in zip(pieces[:-1], pieces[1:]):
+            total += quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def _adaptive_position_reference(tl, f, t1, t2):
+    """(mass transport, momentum transport, source) with scalar integrands."""
+    M = tl.total_mass
+
+    def make(kind):
+        def make_integrand(seg):
+            wgt, c0, c1, c2, theta = _segment_arrays(seg, M)
+
+            def integrand(t):
+                pos = c0 + t * (c1 + 0.5 * t * c2)
+                vel = c1 + t * c2
+                if kind == "mass":
+                    return float(wgt @ (f.prime(pos) * vel))
+                if kind == "momentum":
+                    return float(wgt @ (f.prime(pos) * vel * vel))
+                return float(wgt @ (f(pos) * theta))
+
+            return integrand
+        return make_integrand
+
+    def kinks(seg, a, b):
+        return _position_kinks(seg, f, a, b)
+
+    return tuple(_adaptive_integral(tl, t1, t2, make(kind), kinks)
+                 for kind in ("mass", "momentum", "source"))
+
+
+def _adaptive_velocity_reference(tl, f, t1, t2):
+    """(flux transport, second-moment transport) with scalar integrands."""
+    M = tl.total_mass
+
+    def make(power):
+        def make_integrand(seg):
+            wgt, _, c1, c2, theta = _segment_arrays(seg, M)
+            return lambda t: float(wgt @ (f.prime(c1 + t * c2) * theta ** power))
+        return make_integrand
+
+    def kinks(seg, a, b):
+        return _velocity_kinks(seg, f, a, b)
+
+    return tuple(_adaptive_integral(tl, t1, t2, make(p), kinks) for p in (1, 2))
+
+
+def _group_velocity_atoms_loop(vels, wgts, gammas, tol):
+    """Per-group loop the vectorised grouping must reproduce bit for bit."""
+    order = np.argsort(vels, kind="stable")
+    atoms, ws, avars = [], [], []
+    i = 0
+    n = len(order)
+    while i < n:
+        j = i + 1
+        while j < n and vels[order[j]] - vels[order[j - 1]] <= tol.abs_tol:
+            j += 1
+        sel = order[i:j]
+        weight = float(wgts[sel].sum())
+        v = float((wgts[sel] * vels[sel]).sum() / weight)
+        w = float((wgts[sel] * gammas[sel]).sum() / weight)
+        a = float((wgts[sel] * (gammas[sel] - w) ** 2).sum() / weight)
+        atoms.append((v, weight))
+        ws.append(w)
+        avars.append(a)
+        i = j
+    return DiscreteMeasure(tuple(atoms)), tuple(ws), tuple(avars)
+
+
+def _coincidence_times_loop(tl):
+    """Pairwise loop the vectorised coincidence search must reproduce."""
+    t_max = tl.t_end
+    if np.isinf(t_max):
+        t_max = (tl.event_times[-1] + 1.0) if tl.events else 1.0
+    out = set()
+    for seg in tl.segments:
+        k = len(seg.paths)
+        hi = min(seg.t_hi, t_max)
+        for i in range(k):
+            for j in range(i + 1, k):
+                dc2 = seg.paths[i].c2 - seg.paths[j].c2
+                dc1 = seg.paths[j].c1 - seg.paths[i].c1
+                if dc2 == 0.0:
+                    continue
+                tc = dc1 / dc2
+                if seg.t_lo < tc < hi and tc > 0.0:
+                    out.add(tc)
+    return sorted(out)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_rule_matches_leggauss(self, n):
+        nodes, weights = _gauss_legendre_rule(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.abs(nodes - ref_nodes).max() <= 4 * np.finfo(float).eps
+        assert np.abs(weights - ref_weights).max() <= 8 * np.finfo(float).eps
+
+    def test_exact_for_degree_twelve(self):
+        rng = np.random.default_rng(15_000)
+        for _ in range(200):
+            p = np.polynomial.Polynomial(rng.normal(size=int(rng.integers(1, 14))))
+            lo = rng.uniform(-3.0, 3.0)
+            hi = lo + rng.uniform(1e-3, 4.0)
+            pieces = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 3)]))
+            value, gap = _gauss_legendre(p, pieces)
+            antiderivative = p.integ()
+            exact = antiderivative(hi) - antiderivative(lo)
+            # rounding of a 15-term sum per piece, relative to the integrand's size
+            scale = (hi - lo) * float(np.abs(p(np.linspace(lo, hi, 201))).max())
+            assert abs(value - exact) <= 1e-13 * scale
+            assert gap <= 1e-13 * scale
+
+    def test_gap_reports_what_the_rule_misses(self):
+        p = np.polynomial.Polynomial([0.0] * 16 + [1.0])  # t^16: beyond degree 15
+        value, gap = _gauss_legendre(p, np.array([0.0, 1.0]))
+        assert abs(value - 1.0 / 17.0) > 1e-10
+        assert gap >= abs(value - 1.0 / 17.0)
 
 
 class TestTestFunctions:
@@ -75,15 +215,41 @@ class TestPositionSpace:
             assert abs(mass_eq.residual) <= 1e-8
             assert abs(momentum_eq.residual) <= 1e-8
 
-    def test_refining_quadrature_does_not_grow_residual(self):
+    def test_quadrature_matches_adaptive_reference(self):
+        straddling = validate([0, 1], [1, 1], [1, 0], [0.3, -0.2])
+        instances = [straddling] + [random_data(seed + 14_000)[0] for seed in range(30)]
+        for data in instances:
+            tl = simulate(data)
+            hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
+            t1, t2 = 0.05 * hi, hi
+            xs = np.concatenate([tl.positions_at(t1), tl.positions_at(t2)])
+            for f in covering_test_functions(xs, pad=0.5 * (1.0 + float(np.ptp(xs)))):
+                mass_eq, momentum_eq = position_space_residuals(tl, f, t1, t2)
+                ref = _adaptive_position_reference(tl, f, t1, t2)
+                got = (mass_eq.transport, momentum_eq.transport, momentum_eq.source)
+                for value, expected in zip(got, ref):
+                    assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
+            vs = np.concatenate([tl.velocities_at(t1), tl.velocities_at(t2),
+                                 tl.velocities_at_left(t2)])
+            for f in covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs)))):
+                mass_eq, momentum_eq = velocity_space_residuals(tl, f, t1, t2)
+                ref = _adaptive_velocity_reference(tl, f, t1, t2)
+                for value, expected in zip((mass_eq.transport, momentum_eq.transport), ref):
+                    assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
+
+    def test_quad_error_is_the_gauss_gap(self):
         d = validate([0, 1], [1, 1], [1, 0], [0.3, -0.2])
         tl = simulate(d)
         T = tl.event_times[0]
-        f = cubic_bspline(1.0, 2.0)
-        coarse = position_space_residuals(tl, f, 0.5 * T, 1.5 * T, quad_tol=1e-5)
-        fine = position_space_residuals(tl, f, 0.5 * T, 1.5 * T, quad_tol=1e-10)
-        for c, fi in zip(coarse, fine):
-            assert abs(fi.residual) <= max(abs(c.residual), 1e-8)
+        for f in (bump(1.0, 2.0), cubic_bspline(1.0, 2.0)):
+            for report in (*position_space_residuals(tl, f, 0.5 * T, 1.5 * T),
+                           *velocity_space_residuals(tl, f, 0.5 * T, 1.5 * T)):
+                assert report.quad_error <= 1e-15
+        # cosine ramps are not polynomials: the 8- and 7-node rules disagree
+        mass_eq, momentum_eq = position_space_residuals(tl, plateau(0.2, 0.8, 0.5),
+                                                        0.5 * T, 1.5 * T)
+        assert mass_eq.quad_error >= 1e-12
+        assert momentum_eq.quad_error >= 1e-12
 
     def test_zero_acceleration_kills_source(self, head_on):
         tl = simulate(head_on)
@@ -133,6 +299,66 @@ class TestVelocityFields:
     def test_coincidence_times_found(self, congestion_pair):
         tl = simulate(congestion_pair)
         assert velocity_coincidence_times(tl, 3.0) == pytest.approx([1.0])
+
+    def test_coincidence_times_equal_pairwise_loop(self):
+        found = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed + 16_000)
+            if seed % 4 == 3:
+                # integer lattice: equal accelerations, coincidences at shocks
+                n = int(rng.integers(3, 10))
+                data = validate(np.sort(rng.choice(20, n, replace=False)),
+                                rng.integers(1, 4, n), rng.integers(-2, 3, n),
+                                rng.integers(-2, 3, n))
+            else:
+                data = random_instance(rng, 12, admissible=seed % 2 == 0)
+            tl = simulate(data)
+            expected = _coincidence_times_loop(tl)
+            got = velocity_coincidence_times(tl)
+            assert repr(got) == repr(expected)
+            found += bool(expected)
+        assert found >= 10
+        # a subnormal acceleration gap overflows the crossing time to inf
+        tl = simulate(validate([0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [1e-310, 0.0]))
+        assert velocity_coincidence_times(tl) == _coincidence_times_loop(tl) == []
+
+    def test_grouping_equals_per_group_loop(self):
+        tol = Tolerances()
+        cases = []
+        for seed in range(30):
+            data, rng = random_data(seed + 17_000)
+            tl = simulate(data)
+            times = list(rng.uniform(1e-3, tl.event_times[-1] + 1.0 if tl.events else 1.0, 5))
+            times += list(tl.event_times) + velocity_coincidence_times(tl)
+            for t in times:
+                for seg in (tl.segment_at(t), tl.segment_before(t)):
+                    wgt, _, c1, c2, theta = _segment_arrays(seg, tl.total_mass)
+                    cases.append((c1 + t * c2, wgt, theta))
+        rng = np.random.default_rng(17_500)
+        for _ in range(300):
+            # integer lattice: many clusters share a velocity, some chained
+            # within abs_tol of each other
+            n = int(rng.integers(1, 25))
+            vels = rng.integers(-2, 3, n).astype(float)
+            vels += rng.integers(0, 3, n) * 0.6 * tol.abs_tol
+            gammas = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1], n)
+            wgts = rng.uniform(0.1, 10.0, n)
+            cases.append((vels, wgts / wgts.sum(), gammas))
+        cases.append((np.array([-0.0, 0.0, -0.0, -0.0]), np.full(4, 0.25),
+                      np.array([-0.0, -0.0, 0.0, -0.0])))
+        cases.append((np.array([-0.0, 1.0]), np.array([0.5, 0.5]), np.array([-0.0, -0.0])))
+        cases.append((np.array([-0.0]), np.array([1.0]), np.array([-0.0])))
+        # a gap of exactly abs_tol still chains
+        cases.append((np.array([0.0, tol.abs_tol, 3.0]), np.array([0.25, 0.25, 0.5]),
+                      np.array([1.0, -1.0, 0.0])))
+        cases.append((np.array([0.3]), np.array([1.0]), np.array([-1.7])))
+        largest = 0
+        for vels, wgts, gammas in cases:
+            got = _group_velocity_atoms(vels, wgts, gammas, tol)
+            assert repr(got) == repr(_group_velocity_atoms_loop(vels, wgts, gammas, tol))
+            largest = max(largest, max(
+                np.bincount(np.searchsorted(np.unique(vels), vels)), default=0))
+        assert largest >= 3
 
     def test_weighted_law_totals(self, congestion_pair):
         tl = simulate(congestion_pair)

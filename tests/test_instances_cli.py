@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stickygas
+from stickygas import simulate
 from stickygas.cli import _fmt, _write_csv, main
 from stickygas.errors import InstanceFormatError, NonPositiveMass
 from stickygas.instances import (
@@ -17,6 +18,7 @@ from stickygas.instances import (
     parse_instance,
     random_instance,
 )
+from stickygas.tolerances import Tolerances
 
 HEAD_ON = """
 {
@@ -135,6 +137,28 @@ class TestCli:
         assert (out / "position_residuals.csv").exists()
         assert (out / "congestion.csv").exists()
 
+    def test_manifest_bytes_match_the_instance_document(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('''{"particles": [
+            {"x": -0.0, "m": 0.30000000000000004, "v": -0.0, "theta": 1.3333333333333333},
+            {"x": 0.1, "m": 2.0, "v": -0.0, "theta": -0.0},
+            {"x": 1.0000000000000002, "m": 1e-05, "v": -1.2345678901234567, "theta": -0.0}],
+            "t_end": 2.0000000000000004, "seed": 7}''')
+        inst = load_instance(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out), "--samples", "4"]) == 0
+        # the manifest as first built: the instance text parsed back and dumped again
+        doc = {
+            "command": "simulate",
+            "instance": json.loads(instance_document(inst.data, inst.t_end, inst.seed)),
+            "parameters": {"t_end": 2.0000000000000004, "samples": 4,
+                           "tol_abs": Tolerances().abs_tol, "tol_rel": Tolerances().rel_tol},
+            "outputs": ["events.csv", "trajectory.csv"],
+        }
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (out / "manifest.json").read_bytes() == expected.encode()
+        assert '"x": -0.0' in expected and "0.30000000000000004" in expected
+
     def test_gas_bad_window(self, instance_file, tmp_path, capsys):
         assert main(["gas", str(instance_file), "--window", "nope",
                      "--out-dir", str(tmp_path / "o")]) == 2
@@ -211,10 +235,39 @@ def test_csv_float_rows_format_like_fmt(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(stickygas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, stickygas.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded(instance_file, tmp_path):
+    code = ("import sys, stickygas.cli\n"
+            "before = 'scipy' in sys.modules\n"
+            f"rc = stickygas.cli.main(['gas', {str(instance_file)!r}, '--window', '0.5:1.5',"
+            f" '--out-dir', {str(tmp_path / 'out')!r}])\n"
+            "print(before, rc, 'scipy' in sys.modules)")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False 0 False"
+
+
+def test_gas_runs_without_scipy(tmp_path):
+    data = random_instance(np.random.default_rng(5), 10)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_document(data))
+    shocks = simulate(data).event_times
+    window = f"{0.5 * shocks[0]!r}:{1.2 * shocks[-1]!r}"
+    out = tmp_path / "out"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from stickygas.cli import main\n"
+            f"sys.exit(main(['gas', {str(path)!r}, '--window', {window!r},"
+            f" '--out-dir', {str(out)!r}]))")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    for name in ("position_residuals.csv", "velocity_residuals.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(row.endswith(",true") for row in rows)
