@@ -14,6 +14,11 @@ After a merge the new path is re-derived from the initial data via the
 barycentric formula -- never by local continuation -- so floating-point
 drift cannot desynchronize paths from aggregates.
 
+Clusters only ever merge, so a run is a merge tree of at most 2N-1
+clusters, each alive on a range of consecutive inter-shock segments.  The
+timeline stores those lives and the segment bounds; a segment's clusters,
+column arrays and `Partition` are built when a query asks for them.
+
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
 boundary.  It shares only the barycentric evaluation with the event engine,
@@ -25,9 +30,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +49,8 @@ from .model import (
 from .quadratics import QuadraticPath, quadratic_meet_times
 from .tolerances import DEFAULT_TOL, Tolerances
 
+_VIEW_LIVES = 1 << 16  # bound on the lives held by a timeline's kept segment views
+
 
 @dataclass(frozen=True)
 class MergeGroup:
@@ -57,14 +64,37 @@ class ShockEvent:
     groups: tuple[MergeGroup, ...]
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Inter-shock window [t_lo, t_hi) (last segment closed at t_end)."""
+class Life(NamedTuple):
+    """One node of the merge tree: a cluster and its barycentric path, alive
+    on the consecutive segments first..last (inclusive)."""
+
+    cluster: Cluster
+    path: QuadraticPath
+    first: int
+    last: int
+
+
+class Segment(NamedTuple):
+    """Inter-shock window [t_lo, t_hi) (last segment closed at t_end): the
+    lives alive on it, in particle-index order, and their column arrays."""
 
     t_lo: float
     t_hi: float
-    partition: Partition
-    paths: tuple[QuadraticPath, ...]
+    lives: tuple[Life, ...]
+    size: np.ndarray   # particles per cluster
+    mass: np.ndarray
+    theta: np.ndarray  # cluster accelerations
+    c0: np.ndarray     # path coefficients
+    c1: np.ndarray
+    c2: np.ndarray
+
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        return tuple(life.cluster for life in self.lives)
+
+    @property
+    def paths(self) -> tuple[QuadraticPath, ...]:
+        return tuple(life.path for life in self.lives)
 
 
 @dataclass(frozen=True)
@@ -119,18 +149,32 @@ def next_collision(
 
 @dataclass(frozen=True, eq=False)
 class ShockTimeline:
+    """A run as a merge tree: segment i is [bounds[i], bounds[i+1]), and each
+    of the at most 2N-1 lives is one cluster over a range of segments.  Lives
+    are sorted by left particle index, then by first segment, so a mask
+    picks a segment's lives in particle-index order."""
+
     initial: InitialData
     t_end: float
     events: tuple[ShockEvent, ...]
-    segments: tuple[Segment, ...]
+    bounds: tuple[float, ...]
+    lives: tuple[Life, ...]
+    _views: dict[int, Segment] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def event_times(self) -> tuple[float, ...]:
         return tuple(e.time for e in self.events)
 
     @cached_property
-    def _starts(self) -> list[float]:
-        return [seg.t_lo for seg in self.segments]
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Arrays over the lives: first, last, size, mass, theta, c0, c1, c2."""
+        return tuple(map(np.array, zip(*(
+            (x.first, x.last, x.cluster.size, x.cluster.mass, x.cluster.acceleration,
+             x.path.c0, x.path.c1, x.path.c2) for x in self.lives))))
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.bounds) - 1
 
     @property
     def total_mass(self) -> float:
@@ -140,35 +184,49 @@ class ShockTimeline:
         if not 0.0 <= t <= self.t_end:
             raise TimeOutOfRange(f"t={t} outside [0, {self.t_end}]")
 
+    def segment(self, i: int) -> Segment:
+        """Segment i, its lives picked from the columns by one mask.
+
+        Views are kept, so a repeated query is a lookup; their arrays are
+        read-only.  A view holds at most N lives, so keeping at most
+        _VIEW_LIVES // N of them (all dropped when full) bounds the memory."""
+        view = self._views.get(i)
+        if view is None:
+            if not 0 <= i < self.n_segments:
+                raise IndexError(f"no segment {i} of {self.n_segments}")
+            first, last, *columns = self.columns
+            rows = ((first <= i) & (last >= i)).nonzero()[0]
+            columns = [c[rows] for c in columns]
+            for c in columns:
+                c.flags.writeable = False
+            if len(self._views) >= max(1, _VIEW_LIVES // self.initial.n):
+                self._views.clear()
+            lives = tuple(map(self.lives.__getitem__, rows.tolist()))
+            view = self._views[i] = Segment(self.bounds[i], self.bounds[i + 1], lives, *columns)
+        return view
+
     def segment_at(self, t: float) -> Segment:
         """Segment containing t under the right-continuous convention."""
         self._check_time(t)
-        idx = max(bisect_right(self._starts, t) - 1, 0)
-        return self.segments[idx]
+        return self.segment(max(bisect_right(self.bounds, t, hi=self.n_segments) - 1, 0))
 
     def segment_before(self, t: float) -> Segment:
         """Segment giving the left limit at t (the segment itself at non-events)."""
         self._check_time(t)
-        idx = max(bisect_left(self._starts, t) - 1, 0)
-        return self.segments[idx]
+        return self.segment(max(bisect_left(self.bounds, t, hi=self.n_segments) - 1, 0))
 
     def partition_at(self, t: float) -> Partition:
-        return self.segment_at(t).partition
-
-    def partition_before(self, t: float) -> Partition:
-        return self.segment_before(t).partition
+        return Partition(self.segment_at(t).clusters)
 
     def _per_particle(self, seg: Segment, t: float, kind: str) -> np.ndarray:
-        out = np.empty(self.initial.n)
-        for cluster, path in zip(seg.partition.clusters, seg.paths):
-            g, d = cluster.interval
-            if kind == "x":
-                out[g : d + 1] = path(t)
-            elif kind == "v":
-                out[g : d + 1] = path.derivative(t)
-            else:
-                out[g : d + 1] = cluster.acceleration
-        return out
+        if kind == "x":
+            values = seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2)
+        elif kind == "v":
+            values = seg.c1 + t * seg.c2
+        else:
+            values = seg.theta
+        # the segment's clusters tile 0..N-1 in order
+        return np.repeat(values, seg.size)
 
     def positions_at(self, t: float) -> np.ndarray:
         return self._per_particle(self.segment_at(t), t, "x")
@@ -197,31 +255,12 @@ class ShockTimeline:
     def sample_accelerations(self, ts: Sequence[float]) -> np.ndarray:
         return self._sample(ts, "a")
 
-    @cached_property
-    def _lives(self) -> list[tuple[Cluster, QuadraticPath, int, int]]:
-        """(cluster, path, first segment, last segment) for every run of
-        consecutive segments that holds the same cluster and path objects."""
-        lives: list[tuple[Cluster, QuadraticPath, int, int]] = []
-        opened: dict[tuple[int, int], tuple[Cluster, QuadraticPath, int]] = {}
-        previous: dict[tuple[int, int], tuple[Cluster, QuadraticPath]] = {}
-        for i, seg in enumerate(self.segments):
-            clusters, paths = seg.partition.clusters, seg.paths
-            current = dict(zip(zip(map(id, clusters), map(id, paths)), zip(clusters, paths)))
-            for key in previous.keys() - current.keys():
-                lives.append((*opened.pop(key), i - 1))
-            for key in current.keys() - previous.keys():
-                opened[key] = (*current[key], i)
-            previous = current
-        last = len(self.segments) - 1
-        lives.extend((*life, last) for life in opened.values())
-        return lives
-
     def _sample(self, ts: Sequence[float], kind: str) -> np.ndarray:
         """Vectorized per-particle samples, shape (len(ts), N).
 
-        Row i equals the matching *_at(ts[i]) bit for bit.  A life (see
-        _lives) covers a contiguous range of the sorted sample times, so
-        each life is evaluated and written once.
+        Row i equals the matching *_at(ts[i]) bit for bit.  A life covers a
+        contiguous range of the sorted sample times, so each life is
+        evaluated and written once.
         """
         tarr = np.asarray(ts, dtype=float)
         if tarr.size and not ((tarr >= 0.0) & (tarr <= self.t_end)).all():
@@ -230,13 +269,13 @@ class ShockTimeline:
         tsorted = tarr[order]
         # rows [firsts[i], stops[i]) of tsorted fall in segment i, [t_lo, t_hi),
         # the last segment closed
-        firsts = np.searchsorted(tsorted, [seg.t_lo for seg in self.segments], "left")
-        stops = np.searchsorted(tsorted, [seg.t_hi for seg in self.segments], "left")
-        stops[-1] = np.searchsorted(tsorted, self.segments[-1].t_hi, "right")
+        firsts = np.searchsorted(tsorted, self.bounds[:-1], "left")
+        stops = np.searchsorted(tsorted, self.bounds[1:], "left")
+        stops[-1] = np.searchsorted(tsorted, self.bounds[-1], "right")
         firsts, stops = firsts.tolist(), stops.tolist()
 
         out = np.empty((tarr.size, self.initial.n))
-        for cluster, path, s0, s1 in self._lives:
+        for cluster, path, s0, s1 in self.lives:
             first, stop = firsts[s0], stops[s1]
             if first >= stop:
                 continue
@@ -271,7 +310,8 @@ def simulate(
     The returned timeline's segments tile [0, t_end]; the cluster count
     strictly decreases across the at most N-1 events.  Each event solves
     only the adjacent pairs that touch a newly merged cluster, so a run
-    makes at most (N-1) + 2*(merge groups) crossing-time solves.
+    makes at most (N-1) + 2*(merge groups) crossing-time solves.  A merge
+    closes its members' lives and opens one, so at most 2N-1 lives result.
     """
     data = validate(data)
     if not t_end > 0.0:
@@ -279,6 +319,11 @@ def simulate(
     clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
     paths = [interval_path(data, j, j) for j in range(data.n)]
     lefts = list(range(data.n))  # left particle index of each live cluster
+    # [cluster, path, first segment, last segment] of every life so far (the
+    # last is None while the cluster lives); live[k] is the life of cluster k
+    lives: list[list] = [[c, p, 0, None] for c, p in zip(clusters, paths)]
+    live = list(range(data.n))
+    bounds = [0.0]  # segment i is [bounds[i], bounds[i + 1])
     # A pair of live clusters is keyed by the left index of its left cluster;
     # stamp[g] changes whenever that pair changes, which invalidates its
     # earlier heap entries.
@@ -300,15 +345,13 @@ def simulate(
 
     for k in range(data.n - 1):
         schedule(k, 0.0)
-    segments: list[Segment] = []
     events: list[ShockEvent] = []
     t_now = 0.0
     while True:
         while heap and stamp[heap[0][1]] != heap[0][2]:
             heapq.heappop(heap)
-        partition = Partition(tuple(clusters))
         if not heap or heap[0][0] > t_end:
-            segments.append(Segment(t_now, t_end, partition, tuple(paths)))
+            bounds.append(float(t_end))
             break
         t_event = heap[0][0]
         limit = t_event + tol.event_tol(t_event)
@@ -326,7 +369,8 @@ def simulate(
                 runs.append([k, k + 1])
 
         t_star = max(t_event, t_now)
-        segments.append(Segment(t_now, t_star, partition, tuple(paths)))
+        bounds.append(t_star)
+        ended = len(bounds) - 2  # the segment this event closes
         records: list[MergeGroup] = []
         for first, last in reversed(runs):  # right to left keeps positions valid
             members = clusters[first : last + 1]
@@ -335,9 +379,13 @@ def simulate(
             records.append(MergeGroup(tuple(c.interval for c in members), merged))
             for c in members:
                 stamp[c.left_index] += 1
+            for k in live[first : last + 1]:
+                lives[k][3] = ended
             clusters[first : last + 1] = [merged]
             paths[first : last + 1] = [interval_path(data, g, d)]
             lefts[first : last + 1] = [g]
+            live[first : last + 1] = [len(lives)]
+            lives.append([merged, paths[first], ended + 1, None])
         records.reverse()
         events.append(ShockEvent(t_event, tuple(records)))
         t_now = t_star
@@ -353,7 +401,11 @@ def simulate(
                 touched.add(k)
         for k in sorted(touched):
             schedule(k, t_now)
-    return ShockTimeline(data, float(t_end), tuple(events), tuple(segments))
+    final = len(bounds) - 2
+    tree = sorted((Life(c, p, first, final if last is None else last)
+                   for c, p, first, last in lives),
+                  key=lambda life: (life.cluster.left_index, life.first))
+    return ShockTimeline(data, float(t_end), tuple(events), tuple(bounds), tuple(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ShockTimeline
+from .dynamics import Life, ShockTimeline
 from .errors import UndefinedFieldPoint
 from .model import Cluster
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -60,20 +60,17 @@ class FlowField:
     def acceleration(self, x0: float, t: float) -> float:
         return float(self.timeline.accelerations_at(t)[self._index_of(x0)])
 
-    def _locate_support(self, y: float, t: float) -> int:
-        seg = self.timeline.segment_at(t)
-        for k, path in enumerate(seg.paths):
-            if abs(path(t) - y) <= self.tol.abs_tol:
-                return k
+    def _life_at(self, y: float, t: float) -> Life:
+        for life in self.timeline.segment_at(t).lives:
+            if abs(life.path(t) - y) <= self.tol.abs_tol:
+                return life
         raise UndefinedFieldPoint(f"{y} is not in the support at t={t}")
 
     def u(self, y: float, t: float) -> float:
-        seg = self.timeline.segment_at(t)
-        return seg.paths[self._locate_support(y, t)].derivative(t)
+        return self._life_at(y, t).path.derivative(t)
 
     def gamma(self, y: float, t: float) -> float:
-        seg = self.timeline.segment_at(t)
-        return seg.partition.clusters[self._locate_support(y, t)].acceleration
+        return self._life_at(y, t).cluster.acceleration
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def dermoune_identity_residuals(timeline: ShockTimeline, t: float) -> IdentityRe
     seg = timeline.segment_at(t)
     r_pos = r_vel = r_acc = 0.0
     s_pos = s_vel = s_acc = 0.0
-    for cluster, path in zip(seg.partition.clusters, seg.paths):
+    for cluster, path, *_ in seg.lives:
         pos, vel, acc = _cluster_sums(timeline, cluster, t)
         r_pos = max(r_pos, abs(path(t) - pos))
         r_vel = max(r_vel, abs(path.derivative(t) - vel))
@@ -153,7 +150,7 @@ def right_derivative_check(
     ref_vel = np.empty(timeline.initial.n)
     ref_acc = np.empty(timeline.initial.n)
     pred = np.empty(timeline.initial.n)
-    for cluster in seg.partition.clusters:
+    for cluster in seg.clusters:
         g, d = cluster.interval
         _, vel, acc = _cluster_sums(timeline, cluster, t)
         ref_vel[g : d + 1] = vel

@@ -85,16 +85,6 @@ def _check_window(timeline: ShockTimeline, t1: float, t2: float) -> None:
         raise WindowOutOfRange(f"need 0 < t1 < t2 <= {timeline.t_end}, got ({t1}, {t2})")
 
 
-def _segment_arrays(seg: Segment, total_mass: float):
-    cl = seg.partition.clusters
-    wgt = np.array([c.mass for c in cl]) / total_mass
-    c0 = np.array([p.c0 for p in seg.paths])
-    c1 = np.array([p.c1 for p in seg.paths])
-    c2 = np.array([p.c2 for p in seg.paths])
-    theta = np.array([c.acceleration for c in cl])
-    return wgt, c0, c1, c2, theta
-
-
 def _position_kinks(seg: Segment, f: TestFunction, a: float, b: float) -> list[float]:
     """Times in (a, b) at which some cluster position crosses a knot of f."""
     out = []
@@ -183,9 +173,10 @@ def position_space_residuals(
     M = timeline.total_mass
 
     def endpoint_terms(t: float) -> tuple[float, float]:
-        wgt, c0, c1, c2, _ = _segment_arrays(timeline.segment_at(t), M)
-        pos = c0 + t * (c1 + 0.5 * t * c2)
-        vel = c1 + t * c2
+        seg = timeline.segment_at(t)
+        wgt = seg.mass / M
+        pos = seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2)
+        vel = seg.c1 + t * seg.c2
         fx = f(pos)
         return float(wgt @ fx), float(wgt @ (fx * vel))
 
@@ -196,7 +187,7 @@ def position_space_residuals(
     # times, columns clusters
 
     def mass_integrand(seg: Segment):
-        wgt, c0, c1, c2, _ = _segment_arrays(seg, M)
+        wgt, c0, c1, c2 = seg.mass / M, seg.c0, seg.c1, seg.c2
 
         def integrand(t: np.ndarray) -> np.ndarray:
             t = t[:, None]
@@ -206,7 +197,7 @@ def position_space_residuals(
         return integrand
 
     def momentum_integrand(seg: Segment):
-        wgt, c0, c1, c2, _ = _segment_arrays(seg, M)
+        wgt, c0, c1, c2 = seg.mass / M, seg.c0, seg.c1, seg.c2
 
         def integrand(t: np.ndarray) -> np.ndarray:
             t = t[:, None]
@@ -217,7 +208,7 @@ def position_space_residuals(
         return integrand
 
     def source_integrand(seg: Segment):
-        wgt, c0, c1, c2, theta = _segment_arrays(seg, M)
+        wgt, c0, c1, c2, theta = seg.mass / M, seg.c0, seg.c1, seg.c2, seg.theta
 
         def integrand(t: np.ndarray) -> np.ndarray:
             t = t[:, None]
@@ -305,10 +296,10 @@ def velocity_space_fields(
     """Law of the velocity process at t with its left limit and the
     conditional mean / variance of the cluster acceleration given velocity."""
     M = timeline.total_mass
-    wgt, _, c1, c2, theta = _segment_arrays(timeline.segment_at(t), M)
-    mu, w, a = _group_velocity_atoms(c1 + t * c2, wgt, theta, tol)
-    wgt_l, _, c1_l, c2_l, theta_l = _segment_arrays(timeline.segment_before(t), M)
-    mu_left, w_left, _ = _group_velocity_atoms(c1_l + t * c2_l, wgt_l, theta_l, tol)
+    seg = timeline.segment_at(t)
+    mu, w, a = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / M, seg.theta, tol)
+    seg = timeline.segment_before(t)
+    mu_left, w_left, _ = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / M, seg.theta, tol)
     return VelocityFields(t, mu, mu_left, w, w_left, a)
 
 
@@ -359,7 +350,7 @@ def velocity_space_residuals(
     m1, wm1 = endpoint_terms(t1)
 
     def flux_integrand(seg: Segment):
-        wgt, _, c1, c2, theta = _segment_arrays(seg, M)
+        wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
 
         def integrand(t: np.ndarray) -> np.ndarray:
             return (f.prime(c1 + t[:, None] * c2) * theta) @ wgt
@@ -367,7 +358,7 @@ def velocity_space_residuals(
         return integrand
 
     def second_moment_integrand(seg: Segment):
-        wgt, _, c1, c2, theta = _segment_arrays(seg, M)
+        wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
 
         def integrand(t: np.ndarray) -> np.ndarray:
             return (f.prime(c1 + t[:, None] * c2) * theta * theta) @ wgt
@@ -443,19 +434,21 @@ def velocity_coincidence_times(
         t_max = timeline.t_end
         if math.isinf(t_max):
             t_max = (timeline.event_times[-1] + 1.0) if timeline.events else 1.0
-    found = []
-    # tc[r, c] = (c1[c] - c1[r]) / (c2[r] - c2[c]) is the pair (r, c) for
-    # r < c; the lower triangle repeats those floats (negating both
-    # differences is exact), and equal accelerations (or an overflow) give
-    # +-inf or nan, which the window drops
+    first, last, *_, c1, c2 = timeline.columns
+    bounds = np.asarray(timeline.bounds)
+    found = [np.empty(0)]
+    # Lives a < b coexist on segments lo..hi; tc counts strictly inside one of
+    # them and below t_max (either order of a pair gives the same float, and
+    # equal accelerations or an overflow give +-inf or nan, which drop out).
     with np.errstate(all="ignore"):
-        for seg in timeline.segments:
-            c1 = np.array([p.c1 for p in seg.paths])
-            c2 = np.array([p.c2 for p in seg.paths])
-            tc = c1 - c1[:, None]
-            tc /= c2[:, None] - c2
-            hi = min(seg.t_hi, t_max)
-            found.append(tc[(seg.t_lo < tc) & (tc < hi) & (tc > 0.0)])
+        for a in range(len(first) - 1):
+            lo = np.maximum(first[a + 1 :], first[a])
+            hi = np.minimum(last[a + 1 :], last[a])
+            tc = (c1[a + 1 :] - c1[a]) / (c2[a] - c2[a + 1 :])
+            j = np.searchsorted(bounds, tc)  # bounds[j - 1] < tc <= bounds[j]
+            keep = ((tc > 0.0) & (tc < t_max) & (lo < j) & (j <= hi + 1)
+                    & (bounds[np.minimum(j, len(bounds) - 1)] != tc))
+            found.append(tc[keep])
     return sorted(set(np.concatenate(found).tolist()))
 
 

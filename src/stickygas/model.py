@@ -4,8 +4,7 @@ Particles live on the line at strictly increasing positions, each with a
 mass, a velocity and a constant own acceleration.  A cluster is a contiguous
 index interval that has merged into one composite particle; its aggregate
 state follows from conservation of mass, momentum and force.  All aggregate
-sums run left-to-right over the index interval for reproducibility (an
-optional compensated mode uses math.fsum).
+sums run left-to-right over the index interval for reproducibility.
 """
 
 from __future__ import annotations
@@ -86,13 +85,12 @@ def cluster_aggregates(
     g: int,
     d: int,
     t: float,
-    compensated: bool = False,
 ) -> tuple[float, float, float, float]:
     """Aggregate state (mass, theta_bar, v_bar(t), x_bar(t)) of interval [g, d].
 
     mass is the interval mass, theta_bar the mass-weighted mean acceleration,
     v_bar(t) and x_bar(t) the barycentric velocity and position at time t.
-    Sums run left-to-right over the interval unless compensated is set.
+    Sums run left-to-right over the interval.
     """
     if not (0 <= g <= d < data.n):
         raise IndexOutOfRange(f"interval [{g}, {d}] outside 0..{data.n - 1}")
@@ -101,11 +99,10 @@ def cluster_aggregates(
     x = data.positions
     v = data.velocities
     th = data.accelerations
-    acc = math.fsum if compensated else _running_sum
-    mass = acc(m[j] for j in idx)
-    force = acc(m[j] * th[j] for j in idx)
-    momentum = acc(m[j] * (v[j] + t * th[j]) for j in idx)
-    moment = acc(m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j])) for j in idx)
+    mass = _running_sum(m[j] for j in idx)
+    force = _running_sum(m[j] * th[j] for j in idx)
+    momentum = _running_sum(m[j] * (v[j] + t * th[j]) for j in idx)
+    moment = _running_sum(m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j])) for j in idx)
     return float(mass), float(force / mass), float(momentum / mass), float(moment / mass)
 
 
@@ -166,32 +163,11 @@ class Partition:
     def intervals(self) -> tuple[tuple[int, int], ...]:
         return tuple(c.interval for c in self.clusters)
 
-    @property
-    def n_particles(self) -> int:
-        return self.clusters[-1].right_index + 1
-
-    def cluster_of(self, particle_index: int) -> Cluster:
-        if not 0 <= particle_index < self.n_particles:
-            raise IndexOutOfRange(f"no particle {particle_index}")
-        for c in self.clusters:
-            if c.right_index >= particle_index:
-                return c
-        raise IndexOutOfRange(f"no particle {particle_index}")  # pragma: no cover
-
-    def same_intervals(self, other: "Partition") -> bool:
-        return self.intervals == other.intervals
-
 
 def partition_from_intervals(
     data: InitialData,
     intervals: Iterable[tuple[int, int]],
-    formed_at: float | Sequence[float] = 0.0,
+    formed_at: float = 0.0,
 ) -> Partition:
-    """Partition with aggregates computed at each interval's formation time."""
-    intervals = list(intervals)
-    if isinstance(formed_at, (int, float)):
-        formed_at = [float(formed_at)] * len(intervals)
-    clusters = tuple(
-        make_cluster(data, g, d, ft) for (g, d), ft in zip(intervals, formed_at)
-    )
-    return Partition(clusters)
+    """Partition with every cluster's aggregates computed at formed_at."""
+    return Partition(tuple(make_cluster(data, g, d, float(formed_at)) for g, d in intervals))

@@ -16,14 +16,6 @@ class Tolerances:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-12
 
-    def eq(self, a: float, b: float) -> bool:
-        """Equality under combined absolute/relative tolerance."""
-        return abs(a - b) <= self.abs_tol + self.rel_tol * max(abs(a), abs(b))
-
-    def strictly_less(self, a: float, b: float) -> bool:
-        """a < b with the band |a-b| <= abs_tol counting as equality."""
-        return a < b - self.abs_tol
-
     def geq(self, a: float, b: float) -> bool:
         """a >= b, forgiving a shortfall of at most abs_tol."""
         return a >= b - self.abs_tol

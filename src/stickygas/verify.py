@@ -10,12 +10,11 @@ cluster averages and are held to 1e-12 relative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
-    Segment,
     ShockTimeline,
     brute_force_partitions,
     simulate,
@@ -90,20 +89,26 @@ def conservation_suite(
     force0 = float(m @ data.accelerations)
     mom0 = float(m @ data.velocities)
 
-    for seg in timeline.segments:
-        for c in seg.partition.clusters:
-            recomputed = 0.0
-            for j in range(c.left_index, c.right_index + 1):
-                recomputed += m[j]
-            if recomputed != c.mass:
-                return SuiteResult("conservation", False,
-                                   f"cluster {c.interval} mass drifted from its member sum")
-        seg_total = 0.0
-        for c in seg.partition.clusters:
-            seg_total += c.mass
+    for c, *_ in timeline.lives:
+        recomputed = 0.0
+        for j in range(c.left_index, c.right_index + 1):
+            recomputed += m[j]
+        if recomputed != c.mass:
+            return SuiteResult("conservation", False,
+                               f"cluster {c.interval} mass drifted from its member sum")
+    force_scale = 1.0 + abs(force0)
+    for i in range(timeline.n_segments):  # totals summed left to right
+        seg = timeline.segment(i)
+        seg_total = seg_force = 0.0
+        for mass, theta in zip(seg.mass.tolist(), seg.theta.tolist()):
+            seg_total += mass
+            seg_force += mass * theta
         if abs(seg_total - data.total_mass) > 1e-14 * data.total_mass:
             return SuiteResult("conservation", False,
                                f"segment total mass off by {seg_total - data.total_mass}")
+        if abs(seg_force - force0) > rel * force_scale:
+            return SuiteResult("conservation", False,
+                               f"total force drifted by {seg_force - force0}")
 
     hi = horizon_of(timeline)
     ts = list(np.linspace(0.0, hi, n_grid))
@@ -127,15 +132,6 @@ def conservation_suite(
     if np.any(np.abs(momentum - model) > rel * mom_scale):
         worst = float(np.abs(momentum - model).max())
         return SuiteResult("conservation", False, f"momentum deviates from affine law by {worst}")
-
-    force_scale = 1.0 + abs(force0)
-    for seg in timeline.segments:
-        seg_force = 0.0
-        for c in seg.partition.clusters:
-            seg_force += c.mass * c.acceleration
-        if abs(seg_force - force0) > rel * force_scale:
-            return SuiteResult("conservation", False,
-                               f"total force drifted by {seg_force - force0}")
 
     return SuiteResult("conservation", True)
 
@@ -218,22 +214,14 @@ def run_instance_suites(
 
 
 def inject_velocity_fault(timeline: ShockTimeline, delta: float = 1e-3) -> ShockTimeline:
-    """Perturb the first merged cluster's velocity in all later segments.
+    """Perturb the velocity of the first merged cluster over its whole life.
 
     Harness sanity check: the conservation suite must flag the result."""
     if not timeline.events:
         return timeline
     target = timeline.events[0].groups[0].merged.interval
-    new_segments = []
-    for seg in timeline.segments:
-        paths = list(seg.paths)
-        changed = False
-        for k, c in enumerate(seg.partition.clusters):
-            if c.interval == target and seg.t_lo >= timeline.events[0].time:
-                p = paths[k]
-                paths[k] = QuadraticPath(p.c0, p.c1 + delta, p.c2)
-                changed = True
-        new_segments.append(Segment(seg.t_lo, seg.t_hi, seg.partition, tuple(paths))
-                            if changed else seg)
-    return ShockTimeline(timeline.initial, timeline.t_end, timeline.events,
-                         tuple(new_segments))
+    lives = tuple(
+        life._replace(path=QuadraticPath(life.path.c0, life.path.c1 + delta, life.path.c2))
+        if life.cluster.interval == target else life
+        for life in timeline.lives)
+    return replace(timeline, lives=lives)

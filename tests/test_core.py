@@ -78,11 +78,6 @@ class TestClusterAggregates:
         with pytest.raises(IndexOutOfRange):
             cluster_aggregates(weighted_pair, 0, 2, 0.0)
 
-    def test_compensated_agrees(self, weighted_pair):
-        plain = cluster_aggregates(weighted_pair, 0, 1, 1.7)
-        kahan = cluster_aggregates(weighted_pair, 0, 1, 1.7, compensated=True)
-        assert plain == pytest.approx(kahan, rel=1e-15)
-
     @given(st.data())
     @settings(max_examples=200)
     def test_barycentric_split_consistency(self, data):

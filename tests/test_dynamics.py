@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from tests.conftest import random_data
 
 def rescan_simulate(data, t_end=math.inf):
     """Reference event loop: every step re-solves all adjacent pairs through
-    next_collision and rebuilds the partition from the grouped runs."""
+    next_collision and rebuilds the partition from the grouped runs.  Keeps
+    a snapshot (t_lo, t_hi, clusters, paths) of every segment."""
     clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
     paths = [interval_path(data, j, j) for j in range(data.n)]
     events, segments = [], []
@@ -29,10 +31,10 @@ def rescan_simulate(data, t_end=math.inf):
     while True:
         pending = next_collision(Partition(tuple(clusters)), paths, t_now)
         if pending is None or pending.time > t_end:
-            segments.append((t_now, t_end, [c.interval for c in clusters], paths))
+            segments.append((t_now, t_end, list(clusters), paths))
             return events, segments
         t_star = max(pending.time, t_now)
-        segments.append((t_now, t_star, [c.interval for c in clusters], paths))
+        segments.append((t_now, t_star, list(clusters), paths))
         groups = []
         for grp in reversed(pending.groups):
             g, d = clusters[grp[0]].left_index, clusters[grp[-1]].right_index
@@ -47,8 +49,8 @@ def rescan_simulate(data, t_end=math.inf):
 def engine_tables(timeline):
     events = [(e.time, [(list(grp.members), grp.merged) for grp in e.groups])
               for e in timeline.events]
-    segments = [(s.t_lo, s.t_hi, list(s.partition.intervals), list(s.paths))
-                for s in timeline.segments]
+    segments = [(s.t_lo, s.t_hi, list(s.clusters), list(s.paths))
+                for s in map(timeline.segment, range(timeline.n_segments))]
     return events, segments
 
 
@@ -95,7 +97,7 @@ class TestSimulate:
     def test_finite_horizon_cuts_events(self, head_on):
         tl = simulate(head_on, t_end=0.5)
         assert tl.events == ()
-        assert tl.segments[-1].t_hi == 0.5
+        assert tl.segment(tl.n_segments - 1).t_hi == 0.5
         with pytest.raises(TimeOutOfRange):
             tl.positions_at(0.6)
 
@@ -104,7 +106,7 @@ class TestSimulate:
             data, _ = random_data(seed)
             tl = simulate(data)
             assert len(tl.events) <= data.n - 1
-            counts = [len(s.partition.clusters) for s in tl.segments]
+            counts = [len(tl.segment(i).lives) for i in range(tl.n_segments)]
             assert counts == sorted(counts, reverse=True)
             assert all(a > b for a, b in zip(counts, counts[1:]))
 
@@ -181,6 +183,124 @@ class TestHeapScheduler:
             assert len(calls) <= (data.n - 1) + 2 * groups
 
 
+def random_family(n):
+    """Admissible random instance of size n: sorted-uniform positions on
+    [0, n], log-uniform masses, normal velocities, normal accelerations
+    sorted descending."""
+    rng = np.random.default_rng([11, n])
+    x = np.sort(rng.uniform(0.0, float(n), n))
+    m = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    v = rng.normal(0.0, 1.0, n)
+    th = np.sort(rng.normal(0.0, 1.0, n))[::-1]
+    return validate(x, m, v, th)
+
+
+def query_times(tl):
+    """0, every event time, the horizon end and the midpoints between them."""
+    hi = tl.t_end if math.isfinite(tl.t_end) else (
+        tl.event_times[-1] + 1.0 if tl.events else 1.0)
+    marks = [0.0, *tl.event_times, hi]
+    return marks + [0.5 * (a + b) for a, b in zip(marks, marks[1:])]
+
+
+def check_lives(data, t_end=math.inf):
+    """The merge-tree timeline against the snapshot of every segment."""
+    tl = simulate(data, t_end)
+    _, snapshots = rescan_simulate(data, t_end)
+    assert len(tl.lives) <= 2 * data.n - 1
+    assert tl.n_segments == len(snapshots)
+    for i in range(tl.n_segments):
+        seg = tl.segment(i)
+        Partition(seg.clusters)  # raises unless they tile 0.. in order
+        assert seg.clusters[-1].right_index == data.n - 1
+        for col, values in ((seg.size, [c.size for c in seg.clusters]),
+                            (seg.mass, [c.mass for c in seg.clusters]),
+                            (seg.theta, [c.acceleration for c in seg.clusters]),
+                            (seg.c0, [p.c0 for p in seg.paths]),
+                            (seg.c1, [p.c1 for p in seg.paths]),
+                            (seg.c2, [p.c2 for p in seg.paths])):
+            assert col.tolist() == values
+    starts = [snap[0] for snap in snapshots]
+    for t in query_times(tl):
+        for left in (False, True):
+            idx = (bisect_left if left else bisect_right)(starts, t) - 1
+            t_lo, t_hi, clusters, paths = snapshots[max(idx, 0)]
+            seg = tl.segment_before(t) if left else tl.segment_at(t)
+            assert (seg.t_lo, seg.t_hi) == (t_lo, t_hi)
+            assert list(seg.clusters) == clusters and list(seg.paths) == paths
+            if not left:
+                assert tl.partition_at(t) == Partition(tuple(clusters))
+            sizes = [c.size for c in clusters]
+            expected = (np.repeat([p(t) for p in paths], sizes),
+                        np.repeat([p.derivative(t) for p in paths], sizes),
+                        np.repeat([c.acceleration for c in clusters], sizes))
+            got = ((tl.positions_at_left(t), tl.velocities_at_left(t),
+                    tl.accelerations_at_left(t)) if left else
+                   (tl.positions_at(t), tl.velocities_at(t), tl.accelerations_at(t)))
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
+
+
+class TestLives:
+    """The at most 2N-1 cluster lives reproduce every per-segment snapshot."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(seed + 8000)
+        check_lives(random_instance(rng, 40, admissible=seed % 2 == 0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lattice_pile_ups(self, seed):
+        check_lives(lattice_instance(seed + 100, 30))
+
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_alternating_row(self, n):
+        check_lives(alternating_row(n))
+
+    def test_coincident_paths_give_a_zero_length_segment(self):
+        touching = validate([0.0, 5e-10, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, -1.0],
+                            [0.0, 0.0, 0.0])
+        tl = simulate(touching)
+        assert tl.bounds[:2] == (0.0, 0.0)
+        check_lives(touching)
+
+    def test_finite_horizon(self):
+        check_lives(lattice_instance(3, 20), t_end=0.7)
+        check_lives(random_family(30), t_end=0.5)
+
+    def test_segment_views_are_kept_read_only_and_per_timeline(self):
+        tl = simulate(lattice_instance(1, 20))
+        t = tl.event_times[0]
+        seg = tl.segment_at(t)
+        assert tl.segment(tl.n_segments - 1) is not seg
+        assert tl.segment_at(t) is seg
+        with pytest.raises(ValueError):
+            seg.c1[0] = 0.0
+        # the faulted copy builds its own views from its own lives
+        faulted = inject_velocity_fault(tl).segment_at(t)
+        assert not np.array_equal(faulted.c1, seg.c1)
+        assert np.array_equal(faulted.c0, seg.c0)
+
+    def test_segment_index_checked(self, head_on):
+        tl = simulate(head_on)
+        for bad in (-1, tl.n_segments):
+            with pytest.raises(IndexError):
+                tl.segment(bad)
+
+    def test_simulate_memory_is_linear(self):
+        # per-event partition snapshots would hold N(N+1)/2 cluster
+        # references here: about 34 MB at N=2000
+        data = random_family(2000)
+        tracemalloc.start()
+        try:
+            tl = simulate(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tl.events) > 1000
+        assert peak < 8 * 2**20
+
+
 class TestStateEvaluation:
     def test_initial_condition(self, weighted_pair):
         tl = simulate(weighted_pair)
@@ -215,7 +335,7 @@ class TestStateEvaluation:
     def test_sample_is_bitwise_pointwise(self, seed, faulted):
         data = lattice_instance(seed, 25) if seed % 2 else random_data(seed + 4000, 30)[0]
         tl = simulate(data, t_end=simulate(data).event_times[-1] + 0.5)
-        if faulted:  # a new path object in every segment after the first event
+        if faulted:  # a new path for the life of the first merged cluster
             tl = inject_velocity_fault(tl)
         rng = np.random.default_rng(seed)
         # unsorted, with duplicates, event times and both ends
@@ -318,7 +438,8 @@ class TestInvariants:
         for seed in range(10):
             data, _ = random_data(seed + 3000)
             tl = simulate(data)
-            for event, seg_after in zip(tl.events, tl.segments[1:]):
+            assert tl.n_segments == len(tl.events) + 1
+            for event in tl.events:
                 xl = tl.positions_at_left(event.time)
                 for grp in event.groups:
                     g, d = grp.merged.interval

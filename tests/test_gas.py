@@ -15,7 +15,6 @@ from stickygas.gas import (
     _gauss_legendre_rule,
     _group_velocity_atoms,
     _position_kinks,
-    _segment_arrays,
     _velocity_kinks,
     congestion_onset_delay,
     continuity_conditions_check,
@@ -74,7 +73,7 @@ def _adaptive_position_reference(tl, f, t1, t2):
 
     def make(kind):
         def make_integrand(seg):
-            wgt, c0, c1, c2, theta = _segment_arrays(seg, M)
+            wgt, c0, c1, c2, theta = seg.mass / M, seg.c0, seg.c1, seg.c2, seg.theta
 
             def integrand(t):
                 pos = c0 + t * (c1 + 0.5 * t * c2)
@@ -101,7 +100,7 @@ def _adaptive_velocity_reference(tl, f, t1, t2):
 
     def make(power):
         def make_integrand(seg):
-            wgt, _, c1, c2, theta = _segment_arrays(seg, M)
+            wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
             return lambda t: float(wgt @ (f.prime(c1 + t * c2) * theta ** power))
         return make_integrand
 
@@ -139,7 +138,7 @@ def _coincidence_times_loop(tl):
     if np.isinf(t_max):
         t_max = (tl.event_times[-1] + 1.0) if tl.events else 1.0
     out = set()
-    for seg in tl.segments:
+    for seg in map(tl.segment, range(tl.n_segments)):
         k = len(seg.paths)
         hi = min(seg.t_hi, t_max)
         for i in range(k):
@@ -332,8 +331,7 @@ class TestVelocityFields:
             times += list(tl.event_times) + velocity_coincidence_times(tl)
             for t in times:
                 for seg in (tl.segment_at(t), tl.segment_before(t)):
-                    wgt, _, c1, c2, theta = _segment_arrays(seg, tl.total_mass)
-                    cases.append((c1 + t * c2, wgt, theta))
+                    cases.append((seg.c1 + t * seg.c2, seg.mass / tl.total_mass, seg.theta))
         rng = np.random.default_rng(17_500)
         for _ in range(300):
             # integer lattice: many clusters share a velocity, some chained
