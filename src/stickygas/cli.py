@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .instances import (
     load_instance,
     random_instance,
 )
+from .quadratics import QuadraticPath
 from .testfunctions import covering_test_functions
 from .tolerances import Tolerances
 from .verify import (
@@ -56,10 +58,43 @@ def _format_row(row: list) -> str:
     return ",".join(_fmt(v) for v in row)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(map(_format_row, rows))
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    """Write the header, then each line (already ending in a newline) as it comes."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    _write_lines(path, header, (_format_row(row) + "\n" for row in rows))
+
+
+def _trajectory_lines(timeline: ShockTimeline, ts: list[float]) -> Iterator[str]:
+    """The trajectory.csv lines at the sorted times ts: t, then x, v and theta
+    of every particle.
+
+    All members of a cluster share its x, v and theta, so each cluster life
+    is evaluated on the rows it covers (as `ShockTimeline.sample_positions`
+    and `sample_velocities` evaluate it), each value is formatted once and
+    repeated over the members, and theta is formatted once per life.  Lives
+    come in particle-index order, so appending every life's x cells, then v,
+    then theta builds each row in column order."""
+    tarr = np.asarray(ts, dtype=float)
+    spans = timeline.life_rows(tarr)
+    rows = [["%.17g" % t] for t in ts]
+    for evaluate in (QuadraticPath.__call__, QuadraticPath.derivative):
+        for life, first, stop in spans:
+            values = evaluate(life.path, tarr[first:stop]).tolist()
+            # one format call for the life's values, split at the NULs
+            cells = ("\0,%.17g" * len(values) % tuple(values)).split("\0")[1:]
+            size = life.cluster.size
+            for row, cell in zip(rows[first:stop], cells):
+                row.append(cell * size)
+    for life, first, stop in spans:
+        cell = (",%.17g" % life.cluster.acceleration) * life.cluster.size
+        for row in rows[first:stop]:
+            row.append(cell)
+    return ("".join(row) + "\n" for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, instance: dict | None,
@@ -126,12 +161,10 @@ def cmd_simulate(args) -> int:
 
     ts = sorted(set(np.linspace(0.0, t_end, args.samples).tolist())
                 | {s for s in timeline.event_times if s <= t_end})
-    rows = np.column_stack([ts, timeline.sample_positions(ts), timeline.sample_velocities(ts),
-                            timeline.sample_accelerations(ts)]).tolist()
     n = inst.data.n
     header = (["t"] + [f"x{j}" for j in range(n)] + [f"v{j}" for j in range(n)]
               + [f"theta{j}" for j in range(n)])
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_lines(out / "trajectory.csv", header, _trajectory_lines(timeline, ts))
 
     _write_manifest(out, "simulate", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"t_end": t_end, "samples": args.samples,
@@ -183,12 +216,7 @@ _RESIDUAL_HEADER = ["equation", "test_function", "t1", "t2", "lhs", "transport",
 def cmd_gas(args) -> int:
     inst, tol = _load(args)
     out = _out_dir(args)
-    try:
-        t1s, t2s = args.window.split(":")
-        t1, t2 = float(t1s), float(t2s)
-    except ValueError:
-        print(f"error: bad --window {args.window!r}, expected t1:t2", file=sys.stderr)
-        return INPUT_ERROR
+    t1, t2 = args.window
     timeline = simulate(inst.data, tol=tol)
 
     xs = np.concatenate([timeline.positions_at(t1), timeline.positions_at(t2)])
@@ -304,6 +332,28 @@ def _finite_floats(text: str) -> list[float]:
             f"expected comma-separated finite numbers, got {text!r}") from None
 
 
+def _window(text: str) -> tuple[float, float]:
+    try:
+        t1, t2 = map(_finite_float, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected t1:t2 with finite numbers, got {text!r}") from None
+    return t1, t2
+
+
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stickygas",
@@ -321,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the dynamics, export events and trajectories")
     common(p)
     p.add_argument("--t-end", type=_finite_float, default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_int_at_least(0), default=200,
+                   help="evenly spaced sample times, besides the event times")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gvp", help="compare variational partitions against simulation")
@@ -332,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gas", help="weak-solution residual tables over a window")
     common(p)
-    p.add_argument("--window", required=True, help="t1:t2")
+    p.add_argument("--window", type=_window, required=True, help="t1:t2")
     p.set_defaults(func=cmd_gas)
 
     p = sub.add_parser("dermoune", help="conditional-expectation identity residuals")
@@ -344,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="randomized verification campaign")
     common(p, instance=False)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_int_at_least(2), default=12,
+                   help="most particles per instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-oracle", action="store_true",
                    help="also run the time-stepped oracle comparison")

@@ -104,7 +104,6 @@ class PendingEvent:
 
 
 def next_collision(
-    partition: Partition,
     paths: Sequence[QuadraticPath],
     t_now: float,
     tol: Tolerances = DEFAULT_TOL,
@@ -247,46 +246,42 @@ class ShockTimeline:
         return self._per_particle(self.segment_before(t), t, "a")
 
     def sample_positions(self, ts: Sequence[float]) -> np.ndarray:
-        return self._sample(ts, "x")
+        return self._sample(ts, QuadraticPath.__call__)
 
     def sample_velocities(self, ts: Sequence[float]) -> np.ndarray:
-        return self._sample(ts, "v")
+        return self._sample(ts, QuadraticPath.derivative)
 
-    def sample_accelerations(self, ts: Sequence[float]) -> np.ndarray:
-        return self._sample(ts, "a")
+    def life_rows(self, tsorted: np.ndarray) -> list[tuple[Life, int, int]]:
+        """(life, first, stop) for every life that covers rows [first, stop)
+        of the sorted sample times, in the order of `lives`.
 
-    def _sample(self, ts: Sequence[float], kind: str) -> np.ndarray:
-        """Vectorized per-particle samples, shape (len(ts), N).
-
-        Row i equals the matching *_at(ts[i]) bit for bit.  A life covers a
-        contiguous range of the sorted sample times, so each life is
-        evaluated and written once.
-        """
-        tarr = np.asarray(ts, dtype=float)
-        if tarr.size and not ((tarr >= 0.0) & (tarr <= self.t_end)).all():
+        Segment i holds the times in [t_lo, t_hi), the last segment closed, so
+        a time belongs to the segment `segment_at` picks, and a zero-length
+        segment holds none.  A life covers the rows of its segments, one
+        contiguous range."""
+        if tsorted.size and not ((tsorted >= 0.0) & (tsorted <= self.t_end)).all():
             raise TimeOutOfRange("sample times outside [0, t_end]")
-        order = np.argsort(tarr, kind="stable")
-        tsorted = tarr[order]
-        # rows [firsts[i], stops[i]) of tsorted fall in segment i, [t_lo, t_hi),
-        # the last segment closed
         firsts = np.searchsorted(tsorted, self.bounds[:-1], "left")
         stops = np.searchsorted(tsorted, self.bounds[1:], "left")
         stops[-1] = np.searchsorted(tsorted, self.bounds[-1], "right")
         firsts, stops = firsts.tolist(), stops.tolist()
+        return [(life, firsts[life.first], stops[life.last]) for life in self.lives
+                if firsts[life.first] < stops[life.last]]
 
+    def _sample(self, ts: Sequence[float], evaluate) -> np.ndarray:
+        """Vectorized per-particle values of evaluate(path, times), a
+        QuadraticPath method, shape (len(ts), N).
+
+        Row i equals the matching *_at(ts[i]) bit for bit.  Each life is
+        evaluated and written once, on the rows it covers.
+        """
+        tarr = np.asarray(ts, dtype=float)
+        order = np.argsort(tarr, kind="stable")
+        tsorted = tarr[order]
         out = np.empty((tarr.size, self.initial.n))
-        for cluster, path, s0, s1 in self.lives:
-            first, stop = firsts[s0], stops[s1]
-            if first >= stop:
-                continue
-            g, d = cluster.interval
-            tm = tsorted[first:stop]
-            if kind == "x":
-                out[first:stop, g : d + 1] = (path.c0 + tm * (path.c1 + 0.5 * tm * path.c2))[:, None]
-            elif kind == "v":
-                out[first:stop, g : d + 1] = (path.c1 + tm * path.c2)[:, None]
-            else:
-                out[first:stop, g : d + 1] = cluster.acceleration
+        for life, first, stop in self.life_rows(tsorted):
+            g, d = life.cluster.interval
+            out[first:stop, g : d + 1] = evaluate(life.path, tsorted[first:stop])[:, None]
         unsorted = np.empty_like(out)
         unsorted[order] = out
         return unsorted

@@ -50,6 +50,13 @@ def random_data(seed, n_max=12, zero_acceleration=False):
     return data, rng
 
 
+def lattice_instance(seed, n):
+    """Integer positions and velocities: many exactly simultaneous merges."""
+    rng = np.random.default_rng(seed)
+    return validate(np.arange(n, dtype=float), rng.integers(1, 3, n).astype(float),
+                    rng.integers(-2, 3, n).astype(float), rng.integers(-1, 2, n).astype(float))
+
+
 @pytest.fixture
 def timeline_head_on(head_on):
     return simulate(head_on)

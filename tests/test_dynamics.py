@@ -17,7 +17,7 @@ from stickygas.errors import TimeOutOfRange
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster, Partition
 from stickygas.verify import conservation_suite, inject_velocity_fault, sample_times
-from tests.conftest import random_data
+from tests.conftest import lattice_instance, random_data
 
 
 def rescan_simulate(data, t_end=math.inf):
@@ -29,7 +29,7 @@ def rescan_simulate(data, t_end=math.inf):
     events, segments = [], []
     t_now = 0.0
     while True:
-        pending = next_collision(Partition(tuple(clusters)), paths, t_now)
+        pending = next_collision(paths, t_now)
         if pending is None or pending.time > t_end:
             segments.append((t_now, t_end, list(clusters), paths))
             return events, segments
@@ -59,13 +59,6 @@ def alternating_row(n):
     disjoint groups and then rest."""
     return validate(np.arange(n, dtype=float), np.ones(n),
                     [(-1.0) ** j for j in range(n)], np.zeros(n))
-
-
-def lattice_instance(seed, n):
-    """Integer positions and velocities: many exactly simultaneous merges."""
-    rng = np.random.default_rng(seed)
-    return validate(np.arange(n, dtype=float), rng.integers(1, 3, n).astype(float),
-                    rng.integers(-2, 3, n).astype(float), rng.integers(-1, 2, n).astype(float))
 
 
 class TestSimulate:
@@ -113,23 +106,20 @@ class TestSimulate:
 
 class TestNextCollision:
     def test_three_way_group(self, triple):
-        partition = Partition(tuple(make_cluster(triple, j, j, 0.0) for j in range(3)))
         paths = [interval_path(triple, j, j) for j in range(3)]
-        pending = next_collision(partition, paths, 0.0)
+        pending = next_collision(paths, 0.0)
         assert pending.time == pytest.approx(1.0)
         assert pending.groups == ((0, 1, 2),)
 
     def test_parallel_rest(self):
         d = validate([0, 1], [1, 1], [0, 0], [0, 0])
-        partition = Partition(tuple(make_cluster(d, j, j, 0.0) for j in range(2)))
         paths = [interval_path(d, j, j) for j in range(2)]
-        assert next_collision(partition, paths, 0.0) is None
+        assert next_collision(paths, 0.0) is None
 
     def test_accelerating_chase(self):
         d = validate([0, 1], [1, 1], [0, 1], [1, 0])
-        partition = Partition(tuple(make_cluster(d, j, j, 0.0) for j in range(2)))
         paths = [interval_path(d, j, j) for j in range(2)]
-        pending = next_collision(partition, paths, 0.0)
+        pending = next_collision(paths, 0.0)
         assert pending.time == pytest.approx(1 + math.sqrt(3), rel=1e-14)
 
 
@@ -342,8 +332,7 @@ class TestStateEvaluation:
         ts = [tl.t_end, *tl.event_times, *rng.uniform(0.0, tl.t_end, 20), 0.0,
               tl.event_times[0]]
         for sample, at in ((tl.sample_positions, tl.positions_at),
-                           (tl.sample_velocities, tl.velocities_at),
-                           (tl.sample_accelerations, tl.accelerations_at)):
+                           (tl.sample_velocities, tl.velocities_at)):
             got = sample(ts)
             assert np.array_equal(got, np.array([at(t) for t in ts]))
 

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stickygas
-from stickygas import simulate
+from stickygas import simulate, validate
 from stickygas.cli import _fmt, _write_csv, main
 from stickygas.errors import InstanceFormatError, NonPositiveMass
 from stickygas.instances import (
@@ -19,6 +20,7 @@ from stickygas.instances import (
     random_instance,
 )
 from stickygas.tolerances import Tolerances
+from tests.conftest import lattice_instance
 
 HEAD_ON = """
 {
@@ -160,8 +162,51 @@ class TestCli:
         assert '"x": -0.0' in expected and "0.30000000000000004" in expected
 
     def test_gas_bad_window(self, instance_file, tmp_path, capsys):
-        assert main(["gas", str(instance_file), "--window", "nope",
-                     "--out-dir", str(tmp_path / "o")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["gas", str(instance_file), "--window", "nope",
+                  "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("window", ["1:inf", "nan:1", "1:", "a:b", "-inf:1", "1:2:3"])
+    def test_non_finite_window_exit_code(self, instance_file, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["gas", str(instance_file), "--window", window, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--window" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["-1", "-200", "x", "1.5"])
+    def test_bad_samples_exit_code(self, instance_file, tmp_path, capsys, samples):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(instance_file), "--samples", samples, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_samples_writes_only_event_rows(self, instance_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", str(instance_file), "--samples", "0",
+                     "--out-dir", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[1:] == ["1,1,1,0.5,0.5,0,0"]  # the one shock, at t=1
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-4", "two"])
+    def test_bad_n_max_exit_code(self, tmp_path, capsys, n_max):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "2", "--n-max", n_max, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n-max" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_smallest_n_max(self, tmp_path):
+        assert main(["fuzz", "--count", "3", "--n-max", "2",
+                     "--out-dir", str(tmp_path / "o")]) == 0
 
     def test_dermoune(self, instance_file, tmp_path):
         out = tmp_path / "out"
@@ -233,6 +278,91 @@ def test_csv_float_rows_format_like_fmt(tmp_path):
     _write_csv(path, ["h"], rows)
     expected = "\n".join(["h"] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+def old_trajectory_csv(timeline, t_end, samples) -> bytes:
+    """trajectory.csv as `simulate` built it before the per-life writer: one
+    (rows x 3N+1) float matrix from the per-particle samples, each cell
+    through _fmt, the lines joined into one string."""
+    ts = sorted(set(np.linspace(0.0, t_end, samples).tolist())
+                | {s for s in timeline.event_times if s <= t_end})
+    n = timeline.initial.n
+    theta = np.array([timeline.accelerations_at(t) for t in ts]).reshape(len(ts), n)
+    rows = np.column_stack([ts, timeline.sample_positions(ts),
+                            timeline.sample_velocities(ts), theta]).tolist()
+    header = (["t"] + [f"x{j}" for j in range(n)] + [f"v{j}" for j in range(n)]
+              + [f"theta{j}" for j in range(n)])
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def t_end_cases(times) -> list:
+    """No --t-end, then one before the first event, one inside a segment and
+    one past the last event."""
+    if not times:
+        return [None, 1.0, 2.0, 3.0]
+    mid = len(times) // 2
+    inside = 0.5 * (times[mid - 1] + times[mid]) if mid else times[0] + 0.5
+    return [None, 0.5 * times[0], inside, times[-1] + 1.0]
+
+
+class TestTrajectoryWriter:
+    """The per-life trajectory.csv must equal the old per-particle matrix."""
+
+    def check(self, tmp_path, data):
+        path = tmp_path / "inst.json"
+        path.write_text(instance_document(data))
+        timeline = simulate(load_instance(path).data)
+        out = tmp_path / "out"
+        for t_end in t_end_cases(timeline.event_times):
+            for samples in (0, 1, 16):
+                flags = ["--samples", str(samples)]
+                if t_end is not None:
+                    flags += ["--t-end", repr(t_end)]
+                assert main(["simulate", str(path), "--out-dir", str(out), *flags]) == 0
+                used = json.loads((out / "manifest.json").read_text())["parameters"]["t_end"]
+                assert t_end is None or used == t_end
+                expected = old_trajectory_csv(timeline, used, samples)
+                assert (out / "trajectory.csv").read_bytes() == expected, (t_end, samples)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances(self, tmp_path, seed):
+        rng = np.random.default_rng(seed + 6000)
+        self.check(tmp_path, random_instance(rng, 30, admissible=seed % 2 == 0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lattice_pile_ups(self, tmp_path, seed):
+        # integer data: exactly simultaneous merges, multi-member lives
+        self.check(tmp_path, lattice_instance(seed, 25))
+
+    def test_coincident_paths(self, tmp_path):
+        # paths coincide at t=0: the first segment has zero length
+        touching = validate([0.0, 5e-10, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, -1.0],
+                            [0.0, 0.0, 0.0])
+        assert simulate(touching).bounds[:2] == (0.0, 0.0)
+        self.check(tmp_path, touching)
+
+    def test_negative_zeros(self, tmp_path):
+        data = validate([-0.0, 0.5, 1.0, 2.0], [1.0, 2.0, 1.0, 0.5], [-0.0, 0.0, -0.5, -0.0],
+                        [-0.0, -0.0, -0.0, -1.0])
+        self.check(tmp_path, data)
+
+    def test_memory_stays_below_the_matrix_writer(self, tmp_path):
+        # random family, N=200: the (rows x 3N+1) matrix writer peaked at
+        # 21.2 MB of traced allocations, the per-life writer at 7.1 MB, for a
+        # 4.5 MB trajectory.csv
+        data = random_instance(np.random.default_rng(0), 200, n_min=200)
+        path = tmp_path / "inst.json"
+        path.write_text(instance_document(data))
+        argv = ["simulate", str(path), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0  # first call: caches and lazy imports
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
