@@ -232,7 +232,7 @@ def cmd_gas(args) -> int:
             pos_rows.append(_residual_row(r))
             all_pass &= r.passes
     for f in vel_fs:
-        for r in gaslib.velocity_space_residuals(timeline, f, t1, t2, tol=tol):
+        for r in gaslib.velocity_space_residuals(timeline, f, t1, t2):
             vel_rows.append(_residual_row(r))
             all_pass &= r.passes
     _write_csv(out / "position_residuals.csv", _RESIDUAL_HEADER, pos_rows)
@@ -324,6 +324,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def _finite_floats(text: str) -> list[float]:
     try:
         return [_finite_float(s) for s in text.split(",")]
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the dynamics, export events and trajectories")
     common(p)
-    p.add_argument("--t-end", type=_finite_float, default=None)
+    p.add_argument("--t-end", type=_nonnegative_float, default=None)
     p.add_argument("--samples", type=_int_at_least(0), default=200,
                    help="evenly spaced sample times, besides the event times")
     p.set_defaults(func=cmd_simulate)

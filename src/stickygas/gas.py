@@ -11,18 +11,26 @@ cluster acceleration given the velocity).  Velocities jump at shocks, so
 signed jump measures collected at the shock times inside the window enter
 the right-hand side; residuals are reported with and without them.
 
-Time integrals run segment-wise between shocks, split again wherever a
-cluster position or velocity crosses a knot of the test function.  On each
-piece every integrand is a polynomial in t (degree <= 12 for the built-in
-test functions), so a fixed 8-node Gauss-Legendre rule, exact to degree 15,
-gives the integral up to rounding.  The reported `quad_error` is the sum
-over pieces of |G8 - G7|, the gap to the 7-node rule (exact to degree 13):
-rounding-level for the built-in test functions, a real error estimate for
-a test function that is not piecewise polynomial (see TestFunction).
-Inside expectations the conditioning collapses (tower property), so the
-integrands are plain mass-weighted sums over clusters.
-"""
+One kernel serves both systems.  Its state Y is the position X (rate V,
+forcing Gamma) or the velocity V (rate Gamma, no forcing), and every term
+is a mass-weighted sum over the clusters of one segment: the endpoint terms
+E[f(Y)] and E[f(Y) rate], their jumps across shocks (the segment at the
+shock minus the one before it), and the time integrals of E[f'(Y) rate],
+E[f'(Y) rate^2] and E[f(Y) Gamma].  Inside these expectations the
+conditioning on the velocity collapses (tower property), so the residuals
+never group clusters by velocity; the grouping (VelocityFields) is kept for
+what needs the conditional variance: jump measures, congestion samples and
+the initial-limit and continuity checks.
 
+Time integrals run segment-wise between shocks, split again wherever some Y
+crosses a knot of the test function.  On each piece every integrand is a
+polynomial in t (degree <= 12 for the built-in test functions), so a fixed
+8-node Gauss-Legendre rule, exact to degree 15, gives the integral up to
+rounding.  The reported `quad_error` is the sum over pieces of |G8 - G7|,
+the gap to the 7-node rule (exact to degree 13): rounding-level for the
+built-in test functions, a real error estimate for a test function that is
+not piecewise polynomial (see TestFunction).
+"""
 from __future__ import annotations
 
 import math
@@ -85,76 +93,117 @@ def _check_window(timeline: ShockTimeline, t1: float, t2: float) -> None:
         raise WindowOutOfRange(f"need 0 < t1 < t2 <= {timeline.t_end}, got ({t1}, {t2})")
 
 
-def _position_kinks(seg: Segment, f: TestFunction, a: float, b: float) -> list[float]:
-    """Times in (a, b) at which some cluster position crosses a knot of f."""
-    out = []
-    for path in seg.paths:
-        for knot in f.knots:
-            if path.c2 != 0.0:
-                disc = path.c1 * path.c1 - 2.0 * path.c2 * (path.c0 - knot)
-                if disc <= 0.0:
-                    continue
-                sq = math.sqrt(disc)
-                for r in ((-path.c1 - sq) / path.c2, (-path.c1 + sq) / path.c2):
-                    if a < r < b:
-                        out.append(r)
-            elif path.c1 != 0.0:
-                r = (knot - path.c0) / path.c1
-                if a < r < b:
-                    out.append(r)
-    return out
-
-
-def _velocity_kinks(seg: Segment, f: TestFunction, a: float, b: float) -> list[float]:
-    """Times in (a, b) at which some cluster velocity crosses a knot of f."""
-    out = []
-    for path in seg.paths:
-        if path.c2 == 0.0:
-            continue
-        for knot in f.knots:
-            r = (knot - path.c1) / path.c2
-            if a < r < b:
-                out.append(r)
-    return out
+def _knot_crossings(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
+                    knots: Sequence[float], a: float, b: float) -> list[float]:
+    """Sorted distinct times in (a, b) at which some path
+    c0 + c1 t + c2 t^2 / 2 (one per array entry) crosses a knot: both roots
+    of a quadratic with positive discriminant, the root of an affine path,
+    nothing for a constant one."""
+    c0, c1, c2 = (np.asarray(c, dtype=float)[:, None] for c in (c0, c1, c2))
+    knots = np.asarray(knots, dtype=float)  # rows are paths, columns knots
+    with np.errstate(all="ignore"):
+        disc = c1 * c1 - 2.0 * c2 * (c0 - knots)
+        sq = np.sqrt(disc)
+        quadratic = (c2 != 0.0) & (disc > 0.0)
+        affine = (c2 == 0.0) & (c1 != 0.0)
+        # nan marks no root and drops out of the comparisons below
+        roots = np.concatenate([np.where(quadratic, (-c1 - sq) / c2, np.nan).ravel(),
+                                np.where(quadratic, (-c1 + sq) / c2, np.nan).ravel(),
+                                np.where(affine, (knots - c0) / c1, np.nan).ravel()])
+    # sorted(set()): np.unique imports numpy.ma (numpy 2.4), 0.7 MB more peak
+    # RSS for a small gas command
+    return sorted(set(roots[(a < roots) & (roots < b)].tolist()))
 
 
 def _gauss_legendre(
-    integrand: Callable[[np.ndarray], np.ndarray], pieces: np.ndarray
-) -> tuple[float, float]:
-    """Integral of `integrand` over consecutive `pieces` (increasing break
-    points) by the 8-node rule, and the summed |G8 - G7| gap to the 7-node
-    rule.  The integrand maps a 1-D array of times to an array of values;
-    all nodes of all pieces are evaluated in one call."""
+    integrand: Callable[[np.ndarray], Sequence[np.ndarray]], pieces: np.ndarray
+) -> list[tuple[float, float]]:
+    """Integrals over consecutive `pieces` (increasing break points) by the
+    8-node rule, each with the summed |G8 - G7| gap to the 7-node rule.  The
+    integrand maps a 1-D array of times, all nodes of all pieces, to one
+    array of values per integral."""
     x8, w8 = _gauss_legendre_rule(8)
     x7, w7 = _gauss_legendre_rule(7)
     half = 0.5 * np.diff(pieces)
     mid = 0.5 * (pieces[:-1] + pieces[1:])
     t = mid[:, None] + half[:, None] * np.concatenate([x8, x7])
-    vals = integrand(t.ravel()).reshape(t.shape)
-    g8 = half * (vals[:, :8] @ w8)
-    g7 = half * (vals[:, 8:] @ w7)
-    return float(g8.sum()), float(np.abs(g8 - g7).sum())
+    out = []
+    for vals in integrand(t.ravel()):
+        vals = vals.reshape(t.shape)
+        g8 = half * (vals[:, :8] @ w8)
+        g7 = half * (vals[:, 8:] @ w7)
+        out.append((float(g8.sum()), float(np.abs(g8 - g7).sum())))
+    return out
 
 
-def _integrate_over_segments(
-    timeline: ShockTimeline,
-    t1: float,
-    t2: float,
-    make_integrand: Callable[[Segment], Callable[[np.ndarray], np.ndarray]],
-    kinks: Callable[[Segment, float, float], list[float]],
-) -> tuple[float, float]:
+# ---------------------------------------------------------------------------
+# One kernel for both systems (see the module docstring)
+
+
+def _state(seg: Segment, t, velocity: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Y and its rate dY/dt per cluster at time t (a column of times gives
+    one row per time)."""
+    if velocity:
+        return seg.c1 + t * seg.c2, seg.theta
+    return seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2), seg.c1 + t * seg.c2
+
+
+def _moments(timeline: ShockTimeline, seg: Segment, f: TestFunction, t: float,
+             velocity: bool) -> tuple[float, float]:
+    """E[f(Y)] and E[f(Y) rate] at time t over the clusters of `seg`."""
+    wgt = seg.mass / timeline.total_mass
+    y, rate = _state(seg, t, velocity)
+    fy = f(y)
+    return float(wgt @ fy), float(wgt @ (fy * rate))
+
+
+def _weak_form(
+    timeline: ShockTimeline, f: TestFunction, t1: float, t2: float, velocity: bool
+) -> tuple[tuple[float, float], tuple[float, float], list[tuple[float, float]]]:
+    """Endpoint differences and shock jumps over (t1, t2] of (E[f(Y)],
+    E[f(Y) rate]), and the (integral, quad_error) pairs of E[f'(Y) rate],
+    E[f'(Y) rate^2] and, in position space, E[f(Y) Gamma] over [t1, t2].
+
+    Positions are continuous through shocks and momentum is conserved, so the
+    position-space jumps vanish and are not summed.  Time integrals run
+    segment-wise between shocks, split where some Y crosses a knot of f."""
+    _check_window(timeline, t1, t2)
+    at2 = _moments(timeline, timeline.segment_at(t2), f, t2, velocity)
+    at1 = _moments(timeline, timeline.segment_at(t1), f, t1, velocity)
+    lhs = (at2[0] - at1[0], at2[1] - at1[1])
+    j_mass = j_momentum = 0.0
+    if velocity:
+        for s in timeline.event_times:
+            if t1 < s <= t2:
+                right = _moments(timeline, timeline.segment_at(s), f, s, velocity)
+                left = _moments(timeline, timeline.segment_before(s), f, s, velocity)
+                j_mass += right[0] - left[0]
+                j_momentum += right[1] - left[1]
+
+    n = 2 if velocity else 3
+    totals, errors = [0.0] * n, [0.0] * n
     cuts = [t1] + [s for s in timeline.event_times if t1 < s < t2] + [t2]
-    total = err = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
         seg = timeline.segment_at(a)
-        # kinks lie strictly inside (a, b), so the pieces are increasing
-        pieces = np.array([a, *sorted(set(kinks(seg, a, b))), b])
-        val, e = _gauss_legendre(make_integrand(seg), pieces)
-        total += val
-        err += e
-    return total, err
+        wgt = seg.mass / timeline.total_mass
+        path = (seg.c1, seg.c2, np.zeros_like(seg.c2)) if velocity else (seg.c0, seg.c1, seg.c2)
+        pieces = np.array([a, *_knot_crossings(*path, f.knots, a, b), b])
+
+        def integrand(t: np.ndarray) -> list[np.ndarray]:
+            # rows are times, columns clusters
+            y, rate = _state(seg, t[:, None], velocity)
+            flux = f.prime(y) * rate
+            out = [flux @ wgt, (flux * rate) @ wgt]
+            if not velocity:
+                out.append((f(y) * seg.theta) @ wgt)
+            return out
+
+        for k, (val, err) in enumerate(_gauss_legendre(integrand, pieces)):
+            totals[k] += val
+            errors[k] += err
+    return lhs, (j_mass, j_momentum), list(zip(totals, errors))
 
 
 # ---------------------------------------------------------------------------
@@ -169,65 +218,12 @@ def position_space_residuals(
 ) -> tuple[ResidualReport, ResidualReport]:
     """Weak residuals of the continuity and forced momentum equations for the
     position law, over [t1, t2].  Jump columns are identically zero here."""
-    _check_window(timeline, t1, t2)
-    M = timeline.total_mass
-
-    def endpoint_terms(t: float) -> tuple[float, float]:
-        seg = timeline.segment_at(t)
-        wgt = seg.mass / M
-        pos = seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2)
-        vel = seg.c1 + t * seg.c2
-        fx = f(pos)
-        return float(wgt @ fx), float(wgt @ (fx * vel))
-
-    mass2, mom2 = endpoint_terms(t2)
-    mass1, mom1 = endpoint_terms(t1)
-
-    # integrands map an array of times to one value per time: rows are
-    # times, columns clusters
-
-    def mass_integrand(seg: Segment):
-        wgt, c0, c1, c2 = seg.mass / M, seg.c0, seg.c1, seg.c2
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            t = t[:, None]
-            pos = c0 + t * (c1 + 0.5 * t * c2)
-            return (f.prime(pos) * (c1 + t * c2)) @ wgt
-
-        return integrand
-
-    def momentum_integrand(seg: Segment):
-        wgt, c0, c1, c2 = seg.mass / M, seg.c0, seg.c1, seg.c2
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            t = t[:, None]
-            pos = c0 + t * (c1 + 0.5 * t * c2)
-            vel = c1 + t * c2
-            return (f.prime(pos) * vel * vel) @ wgt
-
-        return integrand
-
-    def source_integrand(seg: Segment):
-        wgt, c0, c1, c2, theta = seg.mass / M, seg.c0, seg.c1, seg.c2, seg.theta
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            t = t[:, None]
-            pos = c0 + t * (c1 + 0.5 * t * c2)
-            return (f(pos) * theta) @ wgt
-
-        return integrand
-
-    def cuts(seg, a, b):
-        return _position_kinks(seg, f, a, b)
-
-    tr1, e1 = _integrate_over_segments(timeline, t1, t2, mass_integrand, cuts)
-    tr2, e2 = _integrate_over_segments(timeline, t1, t2, momentum_integrand, cuts)
-    src, e3 = _integrate_over_segments(timeline, t1, t2, source_integrand, cuts)
-
+    (mass, momentum), _, ((tr1, e1), (tr2, e2), (src, e3)) = _weak_form(
+        timeline, f, t1, t2, velocity=False)
     mass_eq = ResidualReport("position/mass", f.name, (t1, t2),
-                             mass2 - mass1, tr1, 0.0, 0.0, e1)
+                             mass, tr1, 0.0, 0.0, e1)
     momentum_eq = ResidualReport("position/momentum", f.name, (t1, t2),
-                                 mom2 - mom1, tr2, src, 0.0, e2 + e3)
+                                 momentum, tr2, src, 0.0, e2 + e3)
     return mass_eq, momentum_eq
 
 
@@ -303,79 +299,24 @@ def velocity_space_fields(
     return VelocityFields(t, mu, mu_left, w, w_left, a)
 
 
-def _jump_sums(
-    timeline: ShockTimeline,
-    f: TestFunction,
-    t1: float,
-    t2: float,
-    tol: Tolerances,
-) -> tuple[float, float]:
-    """Jump contributions over shocks in (t1, t2] for the law and for w*law."""
-    j_mu = j_wmu = 0.0
-    for s in timeline.event_times:
-        if not t1 < s <= t2:
-            continue
-        fl = velocity_space_fields(timeline, s, tol)
-        right_mu = fl.mu.integrate(f)
-        left_mu = fl.mu_left.integrate(f)
-        right_wmu = math.fsum(wt * w * float(f(v)) for (v, wt), w in zip(fl.mu.atoms, fl.w))
-        left_wmu = math.fsum(wt * w * float(f(v)) for (v, wt), w in zip(fl.mu_left.atoms, fl.w_left))
-        j_mu += right_mu - left_mu
-        j_wmu += right_wmu - left_wmu
-    return j_mu, j_wmu
-
-
 def velocity_space_residuals(
     timeline: ShockTimeline,
     f: TestFunction,
     t1: float,
     t2: float,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[ResidualReport, ResidualReport]:
     """Weak residuals of the velocity-space system over [t1, t2].
 
-    The transport integrands use E[f'(V)Gamma] and E[f'(V)Gamma^2], which
-    equal the conditioned forms integrated against the law (tower property),
-    so no velocity grouping is needed inside the quadrature."""
-    _check_window(timeline, t1, t2)
-    M = timeline.total_mass
-
-    def endpoint_terms(t: float) -> tuple[float, float]:
-        fl = velocity_space_fields(timeline, t, tol)
-        lhs_mu = fl.mu.integrate(f)
-        lhs_wmu = math.fsum(wt * w * float(f(v)) for (v, wt), w in zip(fl.mu.atoms, fl.w))
-        return lhs_mu, lhs_wmu
-
-    m2, wm2 = endpoint_terms(t2)
-    m1, wm1 = endpoint_terms(t1)
-
-    def flux_integrand(seg: Segment):
-        wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return (f.prime(c1 + t[:, None] * c2) * theta) @ wgt
-
-        return integrand
-
-    def second_moment_integrand(seg: Segment):
-        wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return (f.prime(c1 + t[:, None] * c2) * theta * theta) @ wgt
-
-        return integrand
-
-    def cuts(seg, a, b):
-        return _velocity_kinks(seg, f, a, b)
-
-    tr1, e1 = _integrate_over_segments(timeline, t1, t2, flux_integrand, cuts)
-    tr2, e2 = _integrate_over_segments(timeline, t1, t2, second_moment_integrand, cuts)
-    j_mu, j_wmu = _jump_sums(timeline, f, t1, t2, tol)
-
+    Against the law, f w, f' w and f' (w^2 + a) integrate to E[f(V)Gamma],
+    E[f'(V)Gamma] and E[f'(V)Gamma^2] (tower property), so every term,
+    endpoints and jumps included, is a sum over clusters and no velocity
+    grouping is needed."""
+    (mass, momentum), (j_mass, j_momentum), ((tr1, e1), (tr2, e2)) = _weak_form(
+        timeline, f, t1, t2, velocity=True)
     mass_eq = ResidualReport("velocity/mass", f.name, (t1, t2),
-                             m2 - m1, tr1, 0.0, j_mu, e1)
+                             mass, tr1, 0.0, j_mass, e1)
     momentum_eq = ResidualReport("velocity/momentum", f.name, (t1, t2),
-                                 wm2 - wm1, tr2, 0.0, j_wmu, e2)
+                                 momentum, tr2, 0.0, j_momentum, e2)
     return mass_eq, momentum_eq
 
 
@@ -385,12 +326,12 @@ def jump_measure(timeline: ShockTimeline, s: float, tol: Tolerances = DEFAULT_TO
     return fl.mu.minus(fl.mu_left, tol)
 
 
-def force_jump_total(timeline: ShockTimeline, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Total of w+ mu+ - w- mu- at a shock; zero when force is conserved."""
-    fl = velocity_space_fields(timeline, s, tol)
-    right = math.fsum(wt * w for (_, wt), w in zip(fl.mu.atoms, fl.w))
-    left = math.fsum(wt * w for (_, wt), w in zip(fl.mu_left.atoms, fl.w_left))
-    return right - left
+def force_jump_total(timeline: ShockTimeline, s: float) -> float:
+    """Total of w+ mu+ - w- mu- at a shock, E[Gamma] after minus before it
+    (tower property); zero when force is conserved."""
+    right, left = timeline.segment_at(s), timeline.segment_before(s)
+    M = timeline.total_mass
+    return float((right.mass / M) @ right.theta) - float((left.mass / M) @ left.theta)
 
 
 def threshold_crossing_measure(
@@ -598,7 +539,7 @@ def continuity_conditions_check(
         T = timeline.event_times[0]
         lo, hi = 0.1 * T, 0.9 * T
         for f in f_list:
-            pre_reports.extend(velocity_space_residuals(timeline, f, lo, hi, tol=tol))
+            pre_reports.extend(velocity_space_residuals(timeline, f, lo, hi))
 
     return ContinuityConditionsReport(window, len(shocks), max_a, tuple(samples),
                            a0_zero, tuple(pre_reports))

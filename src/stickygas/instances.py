@@ -65,6 +65,8 @@ def parse_instance(text: str) -> Instance:
     t_end = doc.get("t_end")
     if t_end is not None:
         t_end = _finite(t_end, "`t_end`")
+        if t_end < 0.0:
+            raise InstanceFormatError(f"`t_end` must be non-negative, got {t_end!r}")
     seed = doc.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise InstanceFormatError("`seed` must be an integer")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,7 @@ from stickygas.gas import (
     _gauss_legendre,
     _gauss_legendre_rule,
     _group_velocity_atoms,
-    _position_kinks,
-    _velocity_kinks,
+    _knot_crossings,
     congestion_onset_delay,
     continuity_conditions_check,
     force_jump_total,
@@ -34,7 +35,7 @@ from stickygas.testfunctions import (
     finite_difference_mismatch,
 )
 from stickygas.tolerances import Tolerances
-from tests.conftest import random_data
+from tests.conftest import lattice_instance, random_data
 
 
 def plateau(lo: float, hi: float, ramp: float) -> TestFunction:
@@ -61,7 +62,7 @@ def _adaptive_integral(tl, t1, t2, make_integrand, kinks):
     for a, b in zip(cuts[:-1], cuts[1:]):
         seg = tl.segment_at(a)
         integrand = make_integrand(seg)
-        pieces = [a] + sorted(set(kinks(seg, a, b))) + [b]
+        pieces = [a, *kinks(seg, a, b), b]
         for lo, hi in zip(pieces[:-1], pieces[1:]):
             total += quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
     return total
@@ -88,7 +89,7 @@ def _adaptive_position_reference(tl, f, t1, t2):
         return make_integrand
 
     def kinks(seg, a, b):
-        return _position_kinks(seg, f, a, b)
+        return _knot_crossings(seg.c0, seg.c1, seg.c2, f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(kind), kinks)
                  for kind in ("mass", "momentum", "source"))
@@ -105,9 +106,63 @@ def _adaptive_velocity_reference(tl, f, t1, t2):
         return make_integrand
 
     def kinks(seg, a, b):
-        return _velocity_kinks(seg, f, a, b)
+        return _knot_crossings(seg.c1, seg.c2, np.zeros_like(seg.c2), f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(p), kinks) for p in (1, 2))
+
+
+def _position_kinks_loop(paths, knots, a, b):
+    """Per-path loop over (c0, c1, c2) position paths that the vectorised
+    knot-crossing search must reproduce bit for bit."""
+    out = []
+    for c0, c1, c2 in paths:
+        for knot in knots:
+            if c2 != 0.0:
+                disc = c1 * c1 - 2.0 * c2 * (c0 - knot)
+                if disc <= 0.0:
+                    continue
+                sq = math.sqrt(disc)
+                for r in ((-c1 - sq) / c2, (-c1 + sq) / c2):
+                    if a < r < b:
+                        out.append(r)
+            elif c1 != 0.0:
+                r = (knot - c0) / c1
+                if a < r < b:
+                    out.append(r)
+    return sorted(set(out))
+
+
+def _velocity_kinks_loop(paths, knots, a, b):
+    """Per-path loop over the velocities c1 + c2 t of (c0, c1, c2) paths."""
+    out = []
+    for _, c1, c2 in paths:
+        if c2 == 0.0:
+            continue
+        for knot in knots:
+            r = (knot - c1) / c2
+            if a < r < b:
+                out.append(r)
+    return sorted(set(out))
+
+
+def _grouped_velocity_terms(tl, f, t1, t2):
+    """(lhs, jump) of both velocity-space equations from the grouped law:
+    f at each velocity atom, weighted by the atom mass and, for momentum,
+    the conditional mean acceleration w, summed with math.fsum."""
+
+    def terms(mu, w):
+        return mu.integrate(f), math.fsum(wt * wi * float(f(v)) for (v, wt), wi in zip(mu.atoms, w))
+
+    fl2, fl1 = velocity_space_fields(tl, t2), velocity_space_fields(tl, t1)
+    (m2, wm2), (m1, wm1) = terms(fl2.mu, fl2.w), terms(fl1.mu, fl1.w)
+    j_mu = j_wmu = 0.0
+    for s in tl.event_times:
+        if t1 < s <= t2:
+            fl = velocity_space_fields(tl, s)
+            (r_mu, r_wmu), (l_mu, l_wmu) = terms(fl.mu, fl.w), terms(fl.mu_left, fl.w_left)
+            j_mu += r_mu - l_mu
+            j_wmu += r_wmu - l_wmu
+    return (m2 - m1, j_mu), (wm2 - wm1, j_wmu)
 
 
 def _group_velocity_atoms_loop(vels, wgts, gammas, tol):
@@ -168,7 +223,7 @@ class TestGaussLegendre:
             lo = rng.uniform(-3.0, 3.0)
             hi = lo + rng.uniform(1e-3, 4.0)
             pieces = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 3)]))
-            value, gap = _gauss_legendre(p, pieces)
+            ((value, gap),) = _gauss_legendre(lambda t: [p(t)], pieces)
             antiderivative = p.integ()
             exact = antiderivative(hi) - antiderivative(lo)
             # rounding of a 15-term sum per piece, relative to the integrand's size
@@ -178,9 +233,89 @@ class TestGaussLegendre:
 
     def test_gap_reports_what_the_rule_misses(self):
         p = np.polynomial.Polynomial([0.0] * 16 + [1.0])  # t^16: beyond degree 15
-        value, gap = _gauss_legendre(p, np.array([0.0, 1.0]))
+        ((value, gap),) = _gauss_legendre(lambda t: [p(t)], np.array([0.0, 1.0]))
         assert abs(value - 1.0 / 17.0) > 1e-10
         assert gap >= abs(value - 1.0 / 17.0)
+
+    def test_integrals_in_one_call_equal_one_at_a_time(self):
+        rng = np.random.default_rng(15_100)
+        pieces = np.sort(rng.uniform(-2.0, 2.0, 6))
+        ps = [np.polynomial.Polynomial(rng.normal(size=k)) for k in (3, 9, 17)]
+        together = _gauss_legendre(lambda t: [p(t) for p in ps], pieces)
+        alone = [_gauss_legendre(lambda t: [p(t)], pieces)[0] for p in ps]
+        assert repr(together) == repr(alone)
+
+
+def _knot_cases():
+    """(paths, knots, a, b): segments of simulated runs, random and integer
+    coefficients, and the edge cases of the root formulas."""
+    cases = []
+    for seed in range(20):
+        data, rng = random_data(seed + 15_200)
+        tl = simulate(data)
+        hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
+        cuts = [0.05 * hi, *tl.event_times, hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b <= a:
+                continue
+            seg = tl.segment_at(a)
+            xs = seg.c0 + a * (seg.c1 + 0.5 * a * seg.c2)
+            vs = seg.c1 + a * seg.c2
+            knots = [k for v in (xs, vs) for f in covering_test_functions(v) for k in f.knots]
+            cases.append((list(zip(seg.c0, seg.c1, seg.c2)), knots, a, b))
+    rng = np.random.default_rng(15_300)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        paths = list(zip(*(rng.integers(-3, 4, (3, n)) * rng.choice([1.0, 0.5], (3, n)))))
+        a = float(rng.integers(-2, 2))
+        cases.append((paths, rng.integers(-4, 5, 5).astype(float), a, a + float(rng.integers(1, 4))))
+    cases += [
+        ([(0.0, 1.0, 0.0)], [0.5, 2.0], 0.0, 1.0),     # c2 = 0: affine root
+        ([(0.3, 0.0, 0.0)], [0.3, 1.0], 0.0, 1.0),     # c1 = c2 = 0: none
+        ([(1.0, -2.0, 2.0)], [0.0], -5.0, 5.0),        # disc = 0: tangency, none
+        ([(1.0, -2.0, 2.0)], [-1.0], -5.0, 5.0),       # disc < 0: none
+        ([(0.0, 0.0, 2.0)], [1.0], 1.0, 3.0),          # root t = 1 is the piece start
+        ([(0.0, 0.0, 2.0)], [1.0], -3.0, -1.0),        # root t = -1 is the piece end
+        ([(0.0, 1.0, 0.0)], [2.0], 0.5, 2.0),          # affine root at the piece end
+        ([(0.0, 1.0, 2.0), (5.0, 2.0, 0.0)], [], 0.0, 1.0),  # no knots
+    ]
+    return cases
+
+
+class TestKnotCrossings:
+    def test_equal_to_per_path_loops(self):
+        def bits(values):
+            # a set holds one zero, and which sign the loop keeps depends on
+            # the order it visits roots in: + 0.0 maps -0.0 to 0.0 and leaves
+            # every other float as it is
+            return repr([v + 0.0 for v in values])
+
+        found = 0
+        for paths, knots, a, b in _knot_cases():
+            # the loops run on Python floats, as on QuadraticPath coefficients
+            paths = [tuple(map(float, path)) for path in paths]
+            knots = [float(k) for k in knots]
+            c0, c1, c2 = (np.array(c, dtype=float).reshape(-1) for c in zip(*paths))
+            expected = _position_kinks_loop(paths, knots, a, b)
+            assert bits(_knot_crossings(c0, c1, c2, knots, a, b)) == bits(expected)
+            # velocity c1 + c2 t as the quadratic (c1, c2, 0)
+            expected_v = _velocity_kinks_loop(paths, knots, a, b)
+            got_v = _knot_crossings(c1, c2, np.zeros_like(c2), knots, a, b)
+            assert bits(got_v) == bits(expected_v)
+            found += bool(expected) + bool(expected_v)
+        assert found >= 100
+
+    def test_edge_cases(self):
+        def crossings(path, knots, a, b):
+            return _knot_crossings(*(np.array([c]) for c in path), knots, a, b)
+
+        assert crossings((0.0, 1.0, 0.0), [0.5, 2.0], 0.0, 1.0) == [0.5]
+        assert crossings((0.3, 0.0, 0.0), [0.3], 0.0, 1.0) == []
+        assert crossings((1.0, -2.0, 2.0), [0.0], -5.0, 5.0) == []
+        assert crossings((1.0, -2.0, 2.0), [-1.0], -5.0, 5.0) == []
+        assert crossings((0.0, 0.0, 2.0), [1.0], 1.0, 3.0) == []
+        assert crossings((0.0, 0.0, 2.0), [1.0], 0.5, 3.0) == [1.0]
+        assert crossings((0.0, 0.0, 2.0), [1.0], -3.0, 3.0) == [-1.0, 1.0]
 
 
 class TestTestFunctions:
@@ -405,6 +540,47 @@ class TestVelocityResiduals:
         # momentum jump carries the merged mean acceleration
         assert momentum_eq.jump == pytest.approx(-0.5, abs=1e-12)
         assert abs(momentum_eq.residual) <= 1e-8
+
+
+    def test_lhs_and_jump_equal_grouped_law(self):
+        """Per-cluster sums against the grouped velocity law.  Each term sums
+        weights totalling 1 times |f| <= 1 and, for momentum, |Gamma|; the
+        two summation orders and f at an atom's mean of equal velocities
+        differ by a few ulps of that scale per endpoint and per shock side."""
+        cases = []
+        for seed in range(20):
+            tl = simulate(random_data(seed + 18_000)[0])
+            hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
+            cases.append((tl, 0.05 * hi, hi))
+        for seed in range(20):
+            # integer lattice pile-ups: exactly coincident velocities at shocks
+            tl = simulate(lattice_instance(seed + 18_100, 3 + seed % 10))
+            if tl.events:
+                ts = tl.event_times
+                cases += [(tl, 0.5 * ts[0], ts[-1]), (tl, ts[0], ts[-1] + 1.0)]
+        # velocities coincide at t = 1 (acceptance criterion 8)
+        tl = simulate(validate([0.0, 10.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]))
+        cases += [(tl, 0.5, 1.0), (tl, 1.0, 2.0), (tl, 0.5, tl.event_times[0] + 1.0)]
+
+        eps = np.finfo(float).eps
+        grouped = 0
+        for tl, t1, t2 in cases:
+            shocks = [s for s in tl.event_times if t1 < s <= t2]
+            for t in (t1, t2, *shocks):
+                grouped += len(velocity_space_fields(tl, t).mu.atoms) < len(tl.segment_at(t).lives)
+            for s in shocks:
+                assert abs(force_jump_total(tl, s)) <= 1e-12
+            gamma = float(np.abs(tl.initial.accelerations).max())
+            vs = np.concatenate([tl.velocities_at(t1), tl.velocities_at(t2),
+                                 tl.velocities_at_left(t2)])
+            for f in covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs)))):
+                reports = velocity_space_residuals(tl, f, t1, t2)
+                refs = _grouped_velocity_terms(tl, f, t1, t2)
+                for report, (lhs, jump), scale in zip(reports, refs, (1.0, 1.0 + gamma)):
+                    bound = 16 * eps * scale * (1 + len(shocks))
+                    assert abs(report.lhs - lhs) <= bound
+                    assert abs(report.jump - jump) <= bound
+        assert grouped >= 10
 
 
 class TestThresholdCrossing:

@@ -245,6 +245,30 @@ class TestCli:
         path.write_text(HEAD_ON.replace('"t_end": 3.0', '"t_end": Infinity'))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("t_end", ["-1", "-1e-300", "-0.5"])
+    def test_negative_t_end_flag_writes_nothing(self, instance_file, tmp_path, t_end):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            # "=" keeps argparse from reading "-1e-300" as an option
+            main(["simulate", str(instance_file), "--out-dir", str(out), f"--t-end={t_end}"])
+        assert exc.value.code == 2
+        assert not (out / "events.csv").exists()
+
+    @pytest.mark.parametrize("t_end", ["-1", "-1e-300"])
+    def test_negative_instance_t_end_writes_nothing(self, tmp_path, capsys, t_end):
+        path = tmp_path / "inst.json"
+        path.write_text(HEAD_ON.replace('"t_end": 3.0', f'"t_end": {t_end}'))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert "InstanceFormatError" in capsys.readouterr().err
+        assert not (out / "events.csv").exists()
+
+    def test_zero_t_end_accepted(self, instance_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", str(instance_file), "--out-dir", str(out),
+                     "--t-end", "0", "--samples", "2"]) == 0
+        assert (out / "trajectory.csv").read_text().count("\n") == 2
+
     @pytest.mark.parametrize("flag", ["--t-end", "--tol-abs", "--tol-rel"])
     def test_non_finite_flag_exit_code(self, instance_file, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
