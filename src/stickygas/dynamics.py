@@ -21,8 +21,10 @@ column arrays and `Partition` are built when a query asks for them.
 
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
-boundary.  It shares only the barycentric evaluation with the event engine,
-not the root-finding or scheduling.
+boundary.  Blocks of steps are skipped where a lower bound on every adjacent
+gap, with a proven rounding allowance, rules out a merge.  The oracle shares
+only the barycentric evaluation with the event engine: neither the stepping
+nor the bound solves a root or schedules an event.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IdenticalPaths, TimeOutOfRange
+from .errors import IdenticalPaths, PreconditionViolated, TimeOutOfRange
 from .model import (
     Cluster,
     InitialData,
@@ -406,6 +408,16 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Time-stepped oracle
 
+# Rounding allowance of the block-skip bound per unit of the pair's magnitude
+# sum (2^-47 = 64u, against the 28u derived in brute_force_partitions) and
+# its floor for gradual underflow (2^-1068, against 2^-1070).
+_SKIP_ROUNDING = 2.0**-47
+_SKIP_UNDERFLOW = 2.0**-1068
+# Coefficients and horizons below these sizes keep every intermediate of the
+# bound and of the stepped positions below 2^1002, so nothing overflows.
+_SKIP_MAX_COEFF = 2.0**500
+_SKIP_MAX_TIME = 2.0**250
+
 
 def brute_force_partitions(
     data: InitialData,
@@ -423,9 +435,65 @@ def brute_force_partitions(
     by at most dt, so callers should sample away from shocks.  Boundaries
     are generated `chunk` steps at a time, so memory does not grow with the
     horizon.
+
+    Blocks of boundaries in which no merge can happen are skipped without
+    being built.  Let t0 be the last boundary already checked (0 at the
+    start), k1 the grid step that ends a block, t1 = min(dt + (k1-1)*dt,
+    t_max) its last boundary and h = t1 - t0.  Each adjacent pair's gap
+    G(s) = P_{i+1}(s) - P_i(s) is a quadratic, so for s in [t0, t1]
+    (Taylor at t0, exact)
+
+        G(s) >= G(t0) - max(0, -G'(t0)) h - max(0, -(c2_{i+1} - c2_i)) h^2/2.
+
+    The block is skipped, and the requested times up to t1 take the current
+    partition, when for every pair this bound, computed in binary64 from
+    the positions and velocities at t0 and less the allowance
+
+        A = 2^-47 (W + |abs_tol|) + 2^-1068 (1 + t1),
+        W = M_i + M_{i+1},  M = |c0| + t1 |c1| + t1^2 |c2| / 2,
+
+    exceeds abs_tol; the next block tried is then twice as long.  Otherwise
+    one `chunk` of boundaries is stepped as before.  The bound solves no
+    root and schedules nothing, so the oracle stays independent of the
+    event engine.
+
+    Why no boundary of a skipped block would have merged.  Write u = 2^-53,
+    γ_k = ku/(1-ku) and fl(a∘b) = (a∘b)(1+δ) + η with |δ| <= u, and
+    |η| <= 2^-1075 for products, η = 0 for sums (Higham, Accuracy and
+    Stability of Numerical Algorithms, §2.1; Horner's rule, §5.1).  For
+    0 <= s <= t1, |c0| + s|c1| + s^2|c2|/2 <= M, and:
+
+    (a) c0 + s*(c1 + 0.5*s*c2) is Horner's rule with four roundings, so the
+        stepped positions of a pair at s are within γ4 W of exact, and so
+        are the positions at t0 the bound starts from: 2γ4 W in all;
+    (b) the difference d of the positions at t0 is off by at most
+        u|d| <= (1+γ5)uW;
+    (c) fl(c1 + t0*c2) is within γ2(|c1| + t0|c2|) of the exact velocity,
+        the difference of two within γ3 V, V = sum of |c1| + t0|c2| over
+        the pair; with the roundings of h and of the product the slope
+        term is within γ5 Vh <= γ5 W, as h <= t1 and t0 h <= t1^2/4;
+    (d) the curvature term ((C*h)*h)*0.5 is off by u|Δc2| h^2/2 from the
+        rounded difference of c2 and by γ4 from its three products:
+        γ5 W in all;
+    (e) the three subtractions assembling d - slope - curvature - A add at
+        most u(1+u)^2 (3|d| + 3 slope + 2 curvature + A), under
+        8.1uW + 2uA since each of the three terms is at most (1+γ5)W;
+    (f) the stepped difference x rounds above abs_tol once
+        x > abs_tol + γ1|abs_tol|;
+    (g) gradual underflow adds at most 2^-1075 per product, scaled by at
+        most t1 afterwards: under 2^-1070 (1 + t1) over (a)-(e).
+
+    The total, under 28uW + 2uA + γ1|abs_tol| + 2^-1070 (1 + t1), is less
+    than the computed A, which is at least (1-γ8) 64u (W + |abs_tol|) +
+    2^-1069 (1 + t1) (nonnegative terms, at most eight roundings).  So a
+    computed bound above abs_tol puts every stepped difference in the block
+    above abs_tol.  Coefficients of 2^500 and beyond or t1 of 2^250 and
+    beyond, where (a)-(e) could overflow, are never skipped.
     """
-    if dt <= 0.0:
-        raise TimeOutOfRange("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise TimeOutOfRange("dt must be positive and finite")
+    if chunk < 1:
+        raise PreconditionViolated("chunk must be at least 1")
     data = validate(data)
     order = np.argsort(times, kind="stable")
     sorted_times = [float(times[i]) for i in order]
@@ -443,10 +511,16 @@ def brute_force_partitions(
             if requested[t] is None and t <= upto:
                 requested[t] = list(intervals)
 
+    def skip(t0: float, t1: float) -> bool:
+        if not _no_merge_within(coeffs, t0, t1, tol.abs_tol):
+            return False
+        record_upto(t1)
+        return True
+
     if 0.0 in requested:
         requested[0.0] = list(intervals)
 
-    for bounds in _step_bounds(sorted_times, dt, chunk):
+    for bounds in _step_bounds(sorted_times, dt, chunk, skip):
         bi = 0
         while bi < len(bounds) and len(intervals) > 1:
             tchunk = bounds[bi:]
@@ -459,8 +533,7 @@ def brute_force_partitions(
             if j > 0:
                 record_upto(tchunk[j - 1])
             s = float(tchunk[j])
-            intervals = _merge_at(data, intervals, s, tol)
-            coeffs = _interval_coeffs(data, intervals)
+            intervals, coeffs = _merge_at(data, intervals, coeffs, s, tol)
             record_upto(s)
             bi += j + 1
         if len(intervals) == 1:
@@ -471,28 +544,76 @@ def brute_force_partitions(
     return [by_time[float(times[i])] for i in range(len(times))]
 
 
-def _step_bounds(sorted_times: list[float], dt: float, chunk: int):
+def _step_bounds(
+    sorted_times: list[float],
+    dt: float,
+    chunk: int,
+    skip: Callable[[float, float], bool] | None = None,
+):
     """The sorted, distinct step boundaries: the grid dt, 2dt, ... up to the
     last requested time, with the requested times merged in, `chunk` grid
     steps at a time.  Grid values are those of
     np.arange(dt, t_max + dt, dt), computed as dt + k*dt like arange does.
+
+    `skip(t0, t1)`, when given, is asked before each block is built whether
+    the boundaries in (t0, t1] may be passed over, t0 being the last
+    boundary yielded or passed over (0 at first); a block it accepts is not
+    yielded and the next block asked about is twice as long.
     """
     if not sorted_times:
         return
-    req = np.unique(np.asarray(sorted_times))
+    req = _distinct(np.asarray(sorted_times))
     t_max = sorted_times[-1]
     n_grid = math.ceil((t_max + dt - dt) / dt)  # np.arange's length
-    taken = 0
-    for k0 in range(0, n_grid, chunk):
-        grid = dt + np.arange(k0, min(k0 + chunk, n_grid), dtype=float) * dt
+    taken, k0, size, t0 = 0, 0, chunk, 0.0
+    while k0 < n_grid:
+        k1 = min(k0 + size, n_grid)
+        t1 = min(dt + (k1 - 1) * dt, t_max)
+        if skip is not None and skip(t0, t1):
+            taken = int(np.searchsorted(req, t1, "right"))
+            k0, size, t0 = k1, 2 * size, t1
+            continue
+        k1 = min(k0 + chunk, n_grid)
+        grid = dt + np.arange(k0, k1, dtype=float) * dt
         grid = grid[grid <= t_max]
         if grid.size == 0:
             break
         upto = int(np.searchsorted(req, grid[-1], "right"))
-        yield np.unique(np.concatenate([grid, req[taken:upto]]))
-        taken = upto
+        bounds = np.concatenate([grid, req[taken:upto]])
+        bounds.sort()
+        bounds = _distinct(bounds)
+        yield bounds
+        taken, k0, size, t0 = upto, k1, chunk, float(bounds[-1])
     if taken < req.size:
         yield req[taken:]
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeated values (np.unique without the
+    numpy.ma import it brings)."""
+    keep = np.empty(ascending.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
+
+
+def _no_merge_within(coeffs: np.ndarray, t0: float, t1: float, abs_tol: float) -> bool:
+    """The block-skip certificate of brute_force_partitions: no adjacent
+    pair's stepped difference at any boundary in [t0, t1] is <= abs_tol."""
+    size = np.abs(coeffs)
+    if t1 >= _SKIP_MAX_TIME or not size.max() < _SKIP_MAX_COEFF:
+        return False
+    c0, c1, c2 = coeffs.T
+    pos = c0 + t0 * (c1 + 0.5 * t0 * c2)
+    vel = c1 + t0 * c2
+    mag = size[:, 0] + t1 * (size[:, 1] + 0.5 * t1 * size[:, 2])
+    h = t1 - t0
+    allowance = (_SKIP_ROUNDING * ((mag[1:] + mag[:-1]) + abs(abs_tol))
+                 + _SKIP_UNDERFLOW * (1.0 + t1))
+    bound = (pos[1:] - pos[:-1]
+             - np.maximum(0.0, vel[:-1] - vel[1:]) * h
+             - np.maximum(0.0, c2[:-1] - c2[1:]) * h * h * 0.5) - allowance
+    return bool((bound > abs_tol).all())
 
 
 def brute_force_partition(
@@ -523,26 +644,28 @@ def _eval_positions(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def _merge_at(
     data: InitialData,
     intervals: list[tuple[int, int]],
+    coeffs: np.ndarray,
     s: float,
     tol: Tolerances,
-) -> list[tuple[int, int]]:
-    """Cascade-merge adjacent intervals overlapping at time s."""
-    current = list(intervals)
-    while len(current) > 1:
-        pos = _eval_positions(_interval_coeffs(data, current), np.asarray([s]))[:, 0]
-        gaps = np.diff(pos)
-        bad = np.nonzero(gaps <= tol.abs_tol)[0]
-        if bad.size == 0:
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Cascade-merge adjacent intervals overlapping at time s.  Returns the
+    intervals and their coefficient rows; an interval that does not merge
+    keeps its row (interval_path is deterministic, so the floats are those
+    a rebuild would give)."""
+    while len(intervals) > 1:
+        pos = _eval_positions(coeffs, np.asarray([s]))[:, 0]
+        bad = np.diff(pos) <= tol.abs_tol
+        if not bad.any():
             break
+        first = np.flatnonzero(np.concatenate(([True], ~bad)))  # run starts
+        last = np.append(first[1:], len(intervals)) - 1
+        coeffs = coeffs[first]
         merged: list[tuple[int, int]] = []
-        k = 0
-        bad_set = set(int(b) for b in bad)
-        while k < len(current):
-            g, d = current[k]
-            while k in bad_set:
-                k += 1
-                d = current[k][1]
+        for r, (a, b) in enumerate(zip(first.tolist(), last.tolist())):
+            g, d = intervals[a][0], intervals[b][1]
+            if b > a:
+                p = interval_path(data, g, d)
+                coeffs[r] = (p.c0, p.c1, p.c2)
             merged.append((g, d))
-            k += 1
-        current = merged
-    return current
+        intervals = merged
+    return intervals, coeffs

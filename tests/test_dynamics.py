@@ -13,9 +13,10 @@ from stickygas import (
     simulate,
     validate,
 )
-from stickygas.errors import TimeOutOfRange
+from stickygas.errors import PreconditionViolated, TimeOutOfRange
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster, Partition
+from stickygas.tolerances import DEFAULT_TOL
 from stickygas.verify import conservation_suite, inject_velocity_fault, sample_times
 from tests.conftest import lattice_instance, random_data
 
@@ -343,6 +344,98 @@ class TestStateEvaluation:
                 tl.sample_positions([0.0, bad])
 
 
+def stepped_intervals(data, times, dt, tol=DEFAULT_TOL, chunk=4096):
+    """Reference oracle: the full-stepping loop of brute_force_partitions
+    without block skipping.  Every grid step is built and checked, the
+    boundaries of each chunk come from np.unique, and every interval's row
+    is rebuilt after each merge round.  Returns the intervals at each time."""
+
+    def rows(intervals):
+        return np.asarray([(p.c0, p.c1, p.c2)
+                           for p in (interval_path(data, g, d) for g, d in intervals)])
+
+    def positions(coeffs, ts):
+        t = ts[None, :]
+        return coeffs[:, 0:1] + t * (coeffs[:, 1:2] + 0.5 * t * coeffs[:, 2:3])
+
+    def merge_at(intervals, s):
+        current = list(intervals)
+        while len(current) > 1:
+            bad = set(np.nonzero(np.diff(positions(rows(current), np.asarray([s]))[:, 0])
+                                 <= tol.abs_tol)[0].tolist())
+            if not bad:
+                break
+            merged, k = [], 0
+            while k < len(current):
+                g, d = current[k]
+                while k in bad:
+                    k += 1
+                    d = current[k][1]
+                merged.append((g, d))
+                k += 1
+            current = merged
+        return current
+
+    def step_bounds(sorted_times):
+        req = np.unique(np.asarray(sorted_times))
+        t_max = sorted_times[-1]
+        n_grid = math.ceil((t_max + dt - dt) / dt)
+        taken = 0
+        for k0 in range(0, n_grid, chunk):
+            grid = dt + np.arange(k0, min(k0 + chunk, n_grid), dtype=float) * dt
+            grid = grid[grid <= t_max]
+            if grid.size == 0:
+                break
+            upto = int(np.searchsorted(req, grid[-1], "right"))
+            yield np.unique(np.concatenate([grid, req[taken:upto]]))
+            taken = upto
+        if taken < req.size:
+            yield req[taken:]
+
+    sorted_times = sorted(float(t) for t in times)
+    requested = {t: None for t in sorted_times}
+    intervals = [(j, j) for j in range(data.n)]
+    coeffs = rows(intervals)
+
+    def record_upto(upto):
+        for t in requested:
+            if requested[t] is None and t <= upto:
+                requested[t] = tuple(intervals)
+
+    if 0.0 in requested:
+        requested[0.0] = tuple(intervals)
+    for bounds in step_bounds(sorted_times):
+        bi = 0
+        while bi < len(bounds) and len(intervals) > 1:
+            tchunk = bounds[bi:]
+            pos = positions(coeffs, tchunk)
+            bad_cols = np.nonzero((np.diff(pos, axis=0) <= tol.abs_tol).any(axis=0))[0]
+            if bad_cols.size == 0:
+                record_upto(tchunk[-1])
+                break
+            j = int(bad_cols[0])
+            if j > 0:
+                record_upto(tchunk[j - 1])
+            s = float(tchunk[j])
+            intervals = merge_at(intervals, s)
+            coeffs = rows(intervals)
+            record_upto(s)
+            bi += j + 1
+        if len(intervals) == 1:
+            break
+    record_upto(math.inf)
+    return [requested[float(t)] for t in times]
+
+
+def grazing_pair(gap, t_min, curvature=1.0):
+    """Two unit masses whose exact gap is gap + curvature (t - t_min)^2 / 2;
+    the left one rests near 0."""
+    x_right = gap + 0.5 * curvature * t_min * t_min
+    left = (x_right - 0.5 * curvature * t_min * t_min) - gap
+    return validate([left, x_right], [1.0, 1.0], [0.0, -curvature * t_min],
+                    [0.0, curvature])
+
+
 class TestBruteForceOracle:
     def test_single_particle(self, single):
         part = brute_force_partition(single, 1.0, 1e-3)
@@ -389,22 +482,129 @@ class TestOracleGrid:
                 got = brute_force_partitions(data, times, 1e-3, chunk=chunk)
                 assert [p.intervals for p in got] == [p.intervals for p in ref]
 
-    def test_memory_does_not_grow_with_horizon(self):
-        # particles moving apart never merge, so every step up to t is taken
-        data = validate([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-        tracemalloc.start()
-        try:
-            parts = brute_force_partitions(data, [20.0], 1e-5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert parts[0].intervals == ((0, 0), (1, 1), (2, 2))
-        assert peak < 2 * 2**20  # the whole 2e6-step grid alone is 16 MB
+    def test_memory_does_not_grow_with_horizon(self, monkeypatch):
+        # apart: particles moving apart never merge, so the bound skips the
+        # whole horizon; rounding-bound: one ulp of 1e8 (1.5e-8) apart at rest,
+        # never merged, but the rounding allowance of positions near 1e8
+        # exceeds the gap, so every grid step up to t = 20 is stepped
+        apart = validate([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        rounding_bound = validate([1e8, np.nextafter(1e8, np.inf)], [1.0, 1.0], [0.0, 0.0],
+                                  [0.0, 0.0])
+        stepped = []
+        eval_positions = dynamics._eval_positions
+
+        def counted(coeffs, ts):
+            stepped.append(ts.size)
+            return eval_positions(coeffs, ts)
+
+        monkeypatch.setattr(dynamics, "_eval_positions", counted)
+        for data, n_stepped in ((apart, 0), (rounding_bound, 2_000_000)):
+            stepped.clear()
+            tracemalloc.start()
+            try:
+                parts = brute_force_partitions(data, [20.0], 1e-5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert parts[0].intervals == tuple((j, j) for j in range(data.n))
+            assert sum(stepped) == n_stepped
+            assert peak < 2 * 2**20  # the whole 2e6-step grid alone is 16 MB
 
     def test_non_finite_times_rejected(self, head_on):
         for bad in (math.nan, math.inf):
             with pytest.raises(TimeOutOfRange):
                 brute_force_partitions(head_on, [1.0, bad], 1e-3)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_invalid_dt_rejected(self, head_on, dt):
+        with pytest.raises(TimeOutOfRange):
+            brute_force_partitions(head_on, [1.0], dt)
+
+    @pytest.mark.parametrize("chunk", [0, -4])
+    def test_chunk_below_one_rejected(self, head_on, chunk):
+        with pytest.raises(PreconditionViolated):
+            brute_force_partitions(head_on, [1.0], 1e-3, chunk=chunk)
+
+
+def oracle_intervals(data, times, dt, chunk):
+    return [p.intervals for p in brute_force_partitions(data, times, dt, chunk=chunk)]
+
+
+def with_reference(cases, dt=1e-5):
+    return [(data, times, stepped_intervals(data, times, dt)) for data, times in cases]
+
+
+SKIP_CHUNKS = [1, 7, 4096]
+
+
+class TestOracleSkip:
+    """Block skipping returns exactly the partitions of the full-stepping
+    reference, whatever the chunk."""
+
+    @pytest.fixture(scope="class")
+    def random_cases(self):
+        cases = []
+        for k in range(300):
+            rng = np.random.default_rng(30_000 + k)
+            data = random_instance(rng, 12)
+            cases.append((data, sample_times(simulate(data), rng, 5, min_gap=1e-4)))
+        return with_reference(cases)
+
+    @pytest.fixture(scope="class")
+    def pile_up_cases(self):
+        cases = []
+        for seed in range(12):
+            data = lattice_instance(seed + 300, 12)
+            shocks = simulate(data).event_times
+            cases.append((data, [*shocks, *(t + 3e-5 for t in shocks)]))
+        for n in (3, 10, 12):
+            x = np.arange(n, dtype=float) - 0.5 * (n - 1)
+            data = validate(x, np.ones(n), -x, -x)  # all meet at t = sqrt(3) - 1
+            shocks = simulate(data).event_times
+            cases.append((data, [0.5, *shocks, *(t + 3e-5 for t in shocks), 1.0]))
+        return with_reference(cases)
+
+    @pytest.fixture(scope="class")
+    def grazing_cases(self):
+        abs_tol = DEFAULT_TOL.abs_tol
+        cases = []
+        for gap in [abs_tol * (1.0 + 10.0**-k) for k in range(1, 7)] + [abs_tol]:
+            data = grazing_pair(gap, 0.5)
+            at_min = dynamics._eval_positions(dynamics._interval_coeffs(data, [(0, 0), (1, 1)]),
+                                              np.asarray([0.5]))
+            assert at_min[1, 0] - at_min[0, 0] == gap
+            cases.append((data, [0.25, 0.5, 0.5 + 3e-5, 1.0]))
+        # a dip below abs_tol at one grid step only, at a run of grid steps
+        for k in range(30_000, 30_016):
+            t_min = 1e-5 + k * 1e-5
+            cases.append((grazing_pair(abs_tol * (1.0 - 1e-3), t_min),
+                          [t_min - 3e-5, t_min + 3e-5, 1.0]))
+        # exact gap 1.04e-9 > abs_tol, but positions beyond 2^20 (t > 0.0105)
+        # are spaced 2^-32, so the stepped difference rounds to 9.3e-10
+        moving = validate([0.0, 1.04e-9], [1.0, 1.0], [1e8, 1e8], [0.0, 0.0])
+        cases.append((moving, [0.0104, 0.0105, 0.011, 0.02]))
+        # a gap closed by the accelerations alone, from rest
+        cases.append((validate([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, -1.0]),
+                      [0.9, 1.0 + 3e-5, 1.5]))
+        return with_reference(cases)
+
+    @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
+    def test_random_instances(self, random_cases, chunk):
+        for data, times, expected in random_cases:
+            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+
+    @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
+    def test_pile_ups_at_and_after_every_shock(self, pile_up_cases, chunk):
+        for data, times, expected in pile_up_cases:
+            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+
+    @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
+    def test_grazing_pairs(self, grazing_cases, chunk):
+        for data, times, expected in grazing_cases:
+            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+        # the cases reach both verdicts
+        verdicts = {len(expected[-1]) for _, _, expected in grazing_cases}
+        assert verdicts == {1, 2}
 
 
 class TestInvariants:

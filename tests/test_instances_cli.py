@@ -407,6 +407,17 @@ def test_cli_import_leaves_scipy_unloaded(instance_file, tmp_path):
     assert result.stdout.strip() == "False 0 False"
 
 
+def test_fuzz_with_oracle_leaves_numpy_ma_unloaded(tmp_path):
+    code = ("import sys\n"
+            "from stickygas.cli import main\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            f"rc = main(['fuzz', '--count', '3', '--with-oracle', '--out-dir', {str(tmp_path)!r}])\n"
+            "print(before, rc, 'numpy.ma' in sys.modules)")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False 0 False"
+
+
 def test_gas_runs_without_scipy(tmp_path):
     data = random_instance(np.random.default_rng(5), 10)
     path = tmp_path / "inst.json"
