@@ -446,38 +446,42 @@ def brute_force_partitions(
         G(s) >= G(t0) - max(0, -G'(t0)) h - max(0, -(c2_{i+1} - c2_i)) h^2/2.
 
     The block is skipped, and the requested times up to t1 take the current
-    partition, when for every pair this bound, computed in binary64 from
-    the positions and velocities at t0 and less the allowance
+    partition, when for every pair this bound, less the allowance
 
         A = 2^-47 (W + |abs_tol|) + 2^-1068 (1 + t1),
-        W = M_i + M_{i+1},  M = |c0| + t1 |c1| + t1^2 |c2| / 2,
+        W = S_0 + t1 S_1 + t1^2 S_2 / 2,  S_k = |c_k,i| + |c_k,i+1|,
 
-    exceeds abs_tol; the next block tried is then twice as long.  Otherwise
-    one `chunk` of boundaries is stepped as before.  The bound solves no
-    root and schedules nothing, so the oracle stays independent of the
-    event engine.
+    exceeds abs_tol in binary64; the next block tried is then twice as
+    long.  Otherwise one `chunk` of boundaries is stepped as before.  The
+    differences D_k = c_k,i+1 - c_k,i of the pair's coefficient rows,
+    max(0, -D_2) and S_k are formed once per partition; the bound takes
+    G(t0) as D_0 + t0*(D_1 + 0.5*t0*D_2) and G'(t0) as D_1 + t0*D_2.  It
+    solves no root and schedules nothing, so the oracle stays independent
+    of the event engine.
 
     Why no boundary of a skipped block would have merged.  Write u = 2^-53,
     γ_k = ku/(1-ku) and fl(a∘b) = (a∘b)(1+δ) + η with |δ| <= u, and
     |η| <= 2^-1075 for products, η = 0 for sums (Higham, Accuracy and
-    Stability of Numerical Algorithms, §2.1; Horner's rule, §5.1).  For
-    0 <= s <= t1, |c0| + s|c1| + s^2|c2|/2 <= M, and:
+    Stability of Numerical Algorithms, §2.1; Horner's rule, §5.1), and
+    let W and S_k be exact here.  For 0 <= s <= t1 the two rows'
+    |c0| + s|c1| + s^2|c2|/2 sum to at most W, and the exact differences
+    Δ_k satisfy |Δ_k| <= S_k, |D_k - Δ_k| <= u S_k and |D_k| <= (1+u) S_k:
 
     (a) c0 + s*(c1 + 0.5*s*c2) is Horner's rule with four roundings, so the
-        stepped positions of a pair at s are within γ4 W of exact, and so
-        are the positions at t0 the bound starts from: 2γ4 W in all;
-    (b) the difference d of the positions at t0 is off by at most
-        u|d| <= (1+γ5)uW;
-    (c) fl(c1 + t0*c2) is within γ2(|c1| + t0|c2|) of the exact velocity,
-        the difference of two within γ3 V, V = sum of |c1| + t0|c2| over
-        the pair; with the roundings of h and of the product the slope
-        term is within γ5 Vh <= γ5 W, as h <= t1 and t0 h <= t1^2/4;
-    (d) the curvature term ((C*h)*h)*0.5 is off by u|Δc2| h^2/2 from the
-        rounded difference of c2 and by γ4 from its three products:
-        γ5 W in all;
-    (e) the three subtractions assembling d - slope - curvature - A add at
-        most u(1+u)^2 (3|d| + 3 slope + 2 curvature + A), under
-        8.1uW + 2uA since each of the three terms is at most (1+γ5)W;
+        difference of a pair's stepped positions at s, before it is itself
+        rounded, is within γ4 W of G(s);
+    (b) Horner's rule on the D_k is within uW of G(t0) from the rounding of
+        the D_k and within γ4(1+u)W from its own four roundings: γ5 W;
+    (c) fl(D_1 + t0*D_2) is within (u + γ2(1+u)) V <= γ3 V of G'(t0),
+        V = S_1 + t0 S_2; with the roundings of h and of the product the
+        slope term is within γ5 Vh <= γ5 W, as h <= t1 and t0 h <= t1^2/4;
+    (d) the curvature term ((P*h)*h)*0.5, P = max(0, -D_2), is off by
+        u S_2 h^2/2 from the rounding of D_2 and by γ4 from h and its
+        products: γ5 W in all;
+    (e) the three subtractions assembling g - slope - curvature - A, g the
+        computed G(t0), add at most u(1+u)^2 (3|g| + 3 slope + 2 curvature
+        + A), under 8.1uW + 2uA since each of the three terms is at most
+        (1+γ5)W;
     (f) the stepped difference x rounds above abs_tol once
         x > abs_tol + γ1|abs_tol|;
     (g) gradual underflow adds at most 2^-1075 per product, scaled by at
@@ -505,6 +509,7 @@ def brute_force_partitions(
 
     intervals: list[tuple[int, int]] = [(j, j) for j in range(data.n)]
     coeffs = _interval_coeffs(data, intervals)
+    gaps = _gap_rows(coeffs)
 
     def record_upto(upto: float) -> None:
         for t in requested:
@@ -512,7 +517,7 @@ def brute_force_partitions(
                 requested[t] = list(intervals)
 
     def skip(t0: float, t1: float) -> bool:
-        if not _no_merge_within(coeffs, t0, t1, tol.abs_tol):
+        if not _no_merge_within(gaps, t0, t1, tol.abs_tol):
             return False
         record_upto(t1)
         return True
@@ -534,6 +539,7 @@ def brute_force_partitions(
                 record_upto(tchunk[j - 1])
             s = float(tchunk[j])
             intervals, coeffs = _merge_at(data, intervals, coeffs, s, tol)
+            gaps = _gap_rows(coeffs)
             record_upto(s)
             bi += j + 1
         if len(intervals) == 1:
@@ -548,17 +554,17 @@ def _step_bounds(
     sorted_times: list[float],
     dt: float,
     chunk: int,
-    skip: Callable[[float, float], bool] | None = None,
+    skip: Callable[[float, float], bool],
 ):
     """The sorted, distinct step boundaries: the grid dt, 2dt, ... up to the
     last requested time, with the requested times merged in, `chunk` grid
     steps at a time.  Grid values are those of
     np.arange(dt, t_max + dt, dt), computed as dt + k*dt like arange does.
 
-    `skip(t0, t1)`, when given, is asked before each block is built whether
-    the boundaries in (t0, t1] may be passed over, t0 being the last
-    boundary yielded or passed over (0 at first); a block it accepts is not
-    yielded and the next block asked about is twice as long.
+    `skip(t0, t1)` is asked before each block is built whether the
+    boundaries in (t0, t1] may be passed over, t0 being the last boundary
+    yielded or passed over (0 at first); a block it accepts is not yielded
+    and the next block asked about is twice as long.
     """
     if not sorted_times:
         return
@@ -569,7 +575,7 @@ def _step_bounds(
     while k0 < n_grid:
         k1 = min(k0 + size, n_grid)
         t1 = min(dt + (k1 - 1) * dt, t_max)
-        if skip is not None and skip(t0, t1):
+        if skip(t0, t1):
             taken = int(np.searchsorted(req, t1, "right"))
             k0, size, t0 = k1, 2 * size, t1
             continue
@@ -597,22 +603,34 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[keep]
 
 
-def _no_merge_within(coeffs: np.ndarray, t0: float, t1: float, abs_tol: float) -> bool:
+def _gap_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """What the block-skip bound needs of one partition, per adjacent pair:
+    the differences D_k of the coefficient rows, max(0, -D_2) and the sums
+    S_k of their magnitudes; None when a coefficient is too large to skip."""
+    size = np.abs(coeffs)
+    if not size.max() < _SKIP_MAX_COEFF:
+        return None
+    diff = (coeffs[1:] - coeffs[:-1]).T
+    return diff, np.maximum(0.0, -diff[2]), (size[1:] + size[:-1]).T
+
+
+def _no_merge_within(
+    gaps: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    t0: float,
+    t1: float,
+    abs_tol: float,
+) -> bool:
     """The block-skip certificate of brute_force_partitions: no adjacent
     pair's stepped difference at any boundary in [t0, t1] is <= abs_tol."""
-    size = np.abs(coeffs)
-    if t1 >= _SKIP_MAX_TIME or not size.max() < _SKIP_MAX_COEFF:
+    if gaps is None or t1 >= _SKIP_MAX_TIME:
         return False
-    c0, c1, c2 = coeffs.T
-    pos = c0 + t0 * (c1 + 0.5 * t0 * c2)
-    vel = c1 + t0 * c2
-    mag = size[:, 0] + t1 * (size[:, 1] + 0.5 * t1 * size[:, 2])
+    (d0, d1, d2), curvature, (s0, s1, s2) = gaps
+    gap = d0 + t0 * (d1 + 0.5 * t0 * d2)
+    slope = d1 + t0 * d2
+    width = s0 + t1 * (s1 + 0.5 * t1 * s2)
     h = t1 - t0
-    allowance = (_SKIP_ROUNDING * ((mag[1:] + mag[:-1]) + abs(abs_tol))
-                 + _SKIP_UNDERFLOW * (1.0 + t1))
-    bound = (pos[1:] - pos[:-1]
-             - np.maximum(0.0, vel[:-1] - vel[1:]) * h
-             - np.maximum(0.0, c2[:-1] - c2[1:]) * h * h * 0.5) - allowance
+    allowance = _SKIP_ROUNDING * (width + abs(abs_tol)) + _SKIP_UNDERFLOW * (1.0 + t1)
+    bound = (gap - np.maximum(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
     return bool((bound > abs_tol).all())
 
 

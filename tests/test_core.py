@@ -26,24 +26,6 @@ from stickygas.errors import (
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
-def _float_residual_slack(p, q, t):
-    """Residual |p(t) - q(t)| that no binary64 root time t can avoid.
-
-    t sits a couple of ulps from the exact crossing, where the gap moves by
-    |p'(t) - q'(t)| per unit time, and each Horner evaluation rounds four
-    times (gamma_4 ~ 2 eps times the sum of its term magnitudes).  Far roots
-    need this: for p = 0, q = (1, 3, -2**-23) the crossing is near 5.03e7,
-    where ulp(t) = 7.5e-9, and every float within four ulps of it has an
-    exact residual above 8e-9.  Near t ~ 1 it adds about 1e-14.
-    """
-    def terms(path):
-        return abs(path.c0) + abs(t) * (abs(path.c1) + 0.5 * abs(t * path.c2))
-
-    eps = np.finfo(float).eps
-    return (2.0 * math.ulp(t) * abs(p.derivative(t) - q.derivative(t))
-            + 2.0 * eps * (terms(p) + terms(q)))
-
-
 class TestValidate:
     def test_constant_acceleration_is_admissible(self):
         d = validate([0, 1], [1, 1], [1, 0], [0, 0])
@@ -141,24 +123,6 @@ class TestMeetTimes:
         assert roots[0].double
         assert roots[0].time == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("p, q", [
-        (QuadraticPath(4, 1, 2.0377331258896667e-10), QuadraticPath(0, 0, 0)),
-        (QuadraticPath(2, 1, 0), QuadraticPath(0, 0, 1e-9)),
-        (QuadraticPath(0, -6.103515625e-05, 2.220446049250313e-16), QuadraticPath(-1, 0, 0)),
-    ])
-    def test_small_curvature_kept_in_near_root(self, p, q):
-        # |p.c2 - q.c2| <= abs_tol: -c/b alone misses the crossing by 1.6e-9 to 3e-8
-        roots = quadratic_meet_times(p, q, -math.inf)
-        assert len(roots) == 1
-        assert abs(p(roots[0].time) - q(roots[0].time)) <= 1e-12
-
-    def test_small_curvature_without_crossing(self):
-        # p - q = -1 + 2e-9 t - 5e-10 t^2 has discriminant 4e-18 - 2e-9 < 0:
-        # p stays below q, though -c/b alone would report t = 5e8
-        p = QuadraticPath(0, 2e-9, 0)
-        q = QuadraticPath(1, 0, 1e-9)
-        assert quadratic_meet_times(p, q, -math.inf) == []
-
     def test_after_filter_is_strict(self):
         roots = quadratic_meet_times(QuadraticPath(0, 1, 0), QuadraticPath(1, 0, 0), 1.0)
         assert roots == []
@@ -174,8 +138,7 @@ class TestMeetTimes:
         except IdenticalPaths:
             return
         for r in roots:
-            assert abs(p(r.time) - q(r.time)) <= (
-                1e-9 * (1.0 + abs(p(r.time))) + _float_residual_slack(p, q, r.time))
+            assert abs(p(r.time) - q(r.time)) <= 1e-9 * (1.0 + abs(p(r.time)))
 
 
 class TestDominanceLemma:

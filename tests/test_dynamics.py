@@ -469,7 +469,7 @@ class TestOracleGrid:
             grid = np.arange(dt, t_max + dt, dt)
             expected = np.unique(np.concatenate([grid[grid <= t_max], times]))
             for chunk in (7, 4096):
-                got = list(dynamics._step_bounds(times, dt, chunk))
+                got = list(dynamics._step_bounds(times, dt, chunk, lambda t0, t1: False))
                 joined = np.concatenate(got) if got else np.empty(0)
                 assert np.array_equal(joined, expected)
 
