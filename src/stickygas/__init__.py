@@ -10,7 +10,6 @@ gas systems.
 from .dynamics import (
     ShockEvent,
     ShockTimeline,
-    brute_force_partition,
     brute_force_partitions,
     next_collision,
     simulate,
@@ -42,7 +41,6 @@ from .measures import DiscreteMeasure
 from .model import (
     Cluster,
     InitialData,
-    Partition,
     cluster_aggregates,
     validate,
 )
@@ -56,14 +54,12 @@ __all__ = [
     "FlowField",
     "GvpFunctional",
     "InitialData",
-    "Partition",
     "QuadraticPath",
     "ResidualReport",
     "ShockEvent",
     "ShockTimeline",
     "StickyError",
     "Tolerances",
-    "brute_force_partition",
     "brute_force_partitions",
     "cluster_aggregates",
     "clusters_from_gvp",

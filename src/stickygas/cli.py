@@ -239,7 +239,7 @@ def cmd_gas(args) -> int:
     _write_csv(out / "velocity_residuals.csv", _RESIDUAL_HEADER, vel_rows)
 
     cong_rows = []
-    for tc in gaslib.velocity_coincidence_times(timeline, t2, tol):
+    for tc in gaslib.velocity_coincidence_times(timeline, t2):
         if not t1 <= tc <= t2:
             continue
         fields = gaslib.velocity_space_fields(timeline, tc, tol)
@@ -285,9 +285,6 @@ def cmd_dermoune(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return INPUT_ERROR
     out = _out_dir(args)
     rows = []
     failures = 0
@@ -371,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("instance", help="instance JSON file")
+            p.add_argument("--tol-abs", type=_nonnegative_float, default=None)
+            p.add_argument("--tol-rel", type=_nonnegative_float, default=None)
         p.add_argument("--out-dir", required=True, help="output directory")
-        p.add_argument("--tol-abs", type=_finite_float, default=None)
-        p.add_argument("--tol-rel", type=_finite_float, default=None)
 
     p = sub.add_parser("simulate", help="run the dynamics, export events and trajectories")
     common(p)
@@ -401,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized verification campaign")
     common(p, instance=False)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--n-max", type=_int_at_least(2), default=12,
                    help="most particles per instance")
     p.add_argument("--seed", type=int, default=0)

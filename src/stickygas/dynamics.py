@@ -17,7 +17,8 @@ drift cannot desynchronize paths from aggregates.
 Clusters only ever merge, so a run is a merge tree of at most 2N-1
 clusters, each alive on a range of consecutive inter-shock segments.  The
 timeline stores those lives and the segment bounds; a segment's clusters,
-column arrays and `Partition` are built when a query asks for them.
+column arrays and partition (its clusters' index intervals) are built when a
+query asks for them.
 
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
@@ -39,15 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IdenticalPaths, PreconditionViolated, TimeOutOfRange
-from .model import (
-    Cluster,
-    InitialData,
-    Partition,
-    interval_path,
-    make_cluster,
-    partition_from_intervals,
-    validate,
-)
+from .model import Cluster, InitialData, interval_path, make_cluster, validate
 from .quadratics import QuadraticPath, quadratic_meet_times
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -216,8 +209,9 @@ class ShockTimeline:
         self._check_time(t)
         return self.segment(max(bisect_left(self.bounds, t, hi=self.n_segments) - 1, 0))
 
-    def partition_at(self, t: float) -> Partition:
-        return Partition(self.segment_at(t).clusters)
+    def partition_at(self, t: float) -> tuple[tuple[int, int], ...]:
+        """The (left, right) index intervals of the clusters at t, in order."""
+        return tuple(life.cluster.interval for life in self.segment_at(t).lives)
 
     def _per_particle(self, seg: Segment, t: float, kind: str) -> np.ndarray:
         if kind == "x":
@@ -425,8 +419,9 @@ def brute_force_partitions(
     dt: float,
     tol: Tolerances = DEFAULT_TOL,
     chunk: int = 4096,
-) -> list[Partition]:
-    """Partitions at the requested times from explicit time stepping.
+) -> list[tuple[tuple[int, int], ...]]:
+    """Partitions at the requested times from explicit time stepping, each
+    the ordered tuple of its clusters' (left, right) index intervals.
 
     Advances all clusters on a grid of step dt; at each step boundary merges
     every adjacent run whose barycenters are out of order or within
@@ -514,7 +509,7 @@ def brute_force_partitions(
     def record_upto(upto: float) -> None:
         for t in requested:
             if requested[t] is None and t <= upto:
-                requested[t] = list(intervals)
+                requested[t] = tuple(intervals)
 
     def skip(t0: float, t1: float) -> bool:
         if not _no_merge_within(gaps, t0, t1, tol.abs_tol):
@@ -523,7 +518,7 @@ def brute_force_partitions(
         return True
 
     if 0.0 in requested:
-        requested[0.0] = list(intervals)
+        requested[0.0] = tuple(intervals)
 
     for bounds in _step_bounds(sorted_times, dt, chunk, skip):
         bi = 0
@@ -545,9 +540,7 @@ def brute_force_partitions(
         if len(intervals) == 1:
             break
     record_upto(math.inf)
-
-    by_time = {t: partition_from_intervals(data, iv, t) for t, iv in requested.items()}
-    return [by_time[float(times[i])] for i in range(len(times))]
+    return [requested[float(t)] for t in times]
 
 
 def _step_bounds(
@@ -632,15 +625,6 @@ def _no_merge_within(
     allowance = _SKIP_ROUNDING * (width + abs(abs_tol)) + _SKIP_UNDERFLOW * (1.0 + t1)
     bound = (gap - np.maximum(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
     return bool((bound > abs_tol).all())
-
-
-def brute_force_partition(
-    data: InitialData,
-    t: float,
-    dt: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> Partition:
-    return brute_force_partitions(data, [t], dt, tol)[0]
 
 
 def _interval_coeffs(data: InitialData, intervals: list[tuple[int, int]]) -> np.ndarray:

@@ -187,7 +187,7 @@ def conditioning_matches_partition(
             groups.append((start, j - 1))
             start = j
     groups.append((start, len(xs) - 1))
-    return tuple(groups) == timeline.partition_at(t).intervals
+    return tuple(groups) == timeline.partition_at(t)
 
 
 @dataclass(frozen=True)

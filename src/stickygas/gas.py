@@ -366,7 +366,6 @@ def threshold_crossing_measure(
 def velocity_coincidence_times(
     timeline: ShockTimeline,
     t_max: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[float]:
     """Times at which two distinct clusters share a velocity (affine crossings
     of velocity paths inside their segment); the only times a(., t) can be
@@ -515,7 +514,7 @@ def continuity_conditions_check(
         window = (hi * 1e-3, hi)
     t1, t2 = window
     shocks = [s for s in timeline.event_times if t1 < s <= t2]
-    coincidences = [tc for tc in velocity_coincidence_times(timeline, t2, tol) if t1 < tc < t2]
+    coincidences = [tc for tc in velocity_coincidence_times(timeline, t2) if t1 < tc < t2]
 
     max_a = 0.0
     for t in np.linspace(t1, t2, n_samples):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import ShockTimeline, simulate
 from .errors import InadmissibleData, InconsistentEndpoints, IndexOutOfRange
-from .model import InitialData, Partition, partition_from_intervals
+from .model import InitialData
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _BLOCK = 1 << 13  # average-table entries per row block of split_margins (64 kB per temporary)
@@ -173,8 +173,9 @@ def clusters_from_gvp(
     tol: Tolerances = DEFAULT_TOL,
     require_admissible: bool = True,
     include_acceleration: bool = True,
-) -> Partition:
-    """Partition at time t reconstructed from endpoint certificates alone.
+) -> tuple[tuple[int, int], ...]:
+    """Partition at time t reconstructed from endpoint certificates alone, as
+    the ordered (left, right) index intervals of its clusters.
 
     Within the abs_tol band a margin counts as equality and does not cut, so
     a time on a shock gives the merged side.  InadmissibleData unless the
@@ -186,10 +187,12 @@ def clusters_from_gvp(
             "guaranteed for non-increasing profiles (a pair with increasing "
             "acceleration re-crosses after its shock, breaking the inequality)")
     F = GvpFunctional(data, t, include_acceleration, tol)
-    return partition_from_intervals(data, _certified_intervals(F), t)
+    return _certified_intervals(F)
 
 
-def classical_clusters(data: InitialData, t: float, tol: Tolerances = DEFAULT_TOL) -> Partition:
+def classical_clusters(
+    data: InitialData, t: float, tol: Tolerances = DEFAULT_TOL
+) -> tuple[tuple[int, int], ...]:
     """Reference partition from the classical principle (no acceleration term).
 
     Deliberately independent of GvpFunctional: plain loops over eta = x + t*u0,
@@ -224,7 +227,7 @@ def classical_clusters(data: InitialData, t: float, tol: Tolerances = DEFAULT_TO
     rights = [i for i in range(n) if right_ok(i)]
     if len(lefts) != len(rights):
         raise InconsistentEndpoints(f"classical endpoints mismatch at t={t}")
-    return partition_from_intervals(data, list(zip(lefts, rights)), t)
+    return tuple(zip(lefts, rights))
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def gvp_equivalence_check(
         timeline = simulate(data)
     entries = []
     for t in times:
-        sim = timeline.partition_at(t).intervals
+        sim = timeline.partition_at(t)
         F = GvpFunctional(data, t, True, tol)
         ties = tuple(endpoint_tie_indices(F))
         gvp = _certified_intervals(F)

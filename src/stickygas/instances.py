@@ -64,9 +64,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"particle {i} has a non-numeric field: {exc}") from exc
     t_end = doc.get("t_end")
     if t_end is not None:
-        t_end = _finite(t_end, "`t_end`")
-        if t_end < 0.0:
-            raise InstanceFormatError(f"`t_end` must be non-negative, got {t_end!r}")
+        t_end = _nonnegative(t_end, "`t_end`")
     seed = doc.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise InstanceFormatError("`seed` must be an integer")
@@ -76,8 +74,8 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(tdoc, dict) or set(tdoc) - _TOL_KEYS:
             raise InstanceFormatError("`tolerances` must be an object with keys 'abs'/'rel'")
         tol = Tolerances(
-            abs_tol=_finite(tdoc.get("abs", tol.abs_tol), "tolerance 'abs'"),
-            rel_tol=_finite(tdoc.get("rel", tol.rel_tol), "tolerance 'rel'"),
+            abs_tol=_nonnegative(tdoc.get("abs", tol.abs_tol), "tolerance 'abs'"),
+            rel_tol=_nonnegative(tdoc.get("rel", tol.rel_tol), "tolerance 'rel'"),
         )
     data = validate(xs, ms, vs, ths)
     return Instance(data, t_end, seed, tol)
@@ -90,6 +88,13 @@ def _finite(value, what: str) -> float:
         raise InstanceFormatError(f"{what} must be a number: {exc}") from exc
     if not math.isfinite(out):
         raise InstanceFormatError(f"{what} must be finite, got {out}")
+    return out
+
+
+def _nonnegative(value, what: str) -> float:
+    out = _finite(value, what)
+    if out < 0.0:
+        raise InstanceFormatError(f"{what} must be non-negative, got {out!r}")
     return out
 
 

@@ -1,10 +1,12 @@
-"""Domain types: initial particle data, clusters, partitions.
+"""Domain types: initial particle data and clusters.
 
 Particles live on the line at strictly increasing positions, each with a
 mass, a velocity and a constant own acceleration.  A cluster is a contiguous
 index interval that has merged into one composite particle; its aggregate
 state follows from conservation of mass, momentum and force.  All aggregate
-sums run left-to-right over the index interval for reproducibility.
+sums run left-to-right over the index interval for reproducibility.  A
+partition is the ordered tuple of its clusters' (left, right) index pairs,
+which tile 0..N-1.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def interval_path(data: InitialData, g: int, d: int) -> QuadraticPath:
 @dataclass(frozen=True)
 class Cluster:
     """A contiguous run [left_index, right_index] of initial particles that
-    behaves as a single composite particle from formation_time onwards."""
+    behaves as a single composite particle from its formation onwards."""
 
     left_index: int
     right_index: int
@@ -130,7 +132,6 @@ class Cluster:
     acceleration: float
     velocity_at_formation: float
     position_at_formation: float
-    formation_time: float
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -143,31 +144,4 @@ class Cluster:
 
 def make_cluster(data: InitialData, g: int, d: int, formed_at: float) -> Cluster:
     mass, theta_bar, v_bar, x_bar = cluster_aggregates(data, g, d, formed_at)
-    return Cluster(g, d, mass, theta_bar, v_bar, x_bar, formed_at)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered clusters that tile the index range 0..N-1 contiguously."""
-
-    clusters: tuple[Cluster, ...]
-
-    def __post_init__(self):
-        expect = 0
-        for c in self.clusters:
-            if c.left_index != expect or c.right_index < c.left_index:
-                raise IndexOutOfRange("clusters must tile the index range in order")
-            expect = c.right_index + 1
-
-    @property
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c.interval for c in self.clusters)
-
-
-def partition_from_intervals(
-    data: InitialData,
-    intervals: Iterable[tuple[int, int]],
-    formed_at: float = 0.0,
-) -> Partition:
-    """Partition with every cluster's aggregates computed at formed_at."""
-    return Partition(tuple(make_cluster(data, g, d, float(formed_at)) for g, d in intervals))
+    return Cluster(g, d, mass, theta_bar, v_bar, x_bar)

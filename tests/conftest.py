@@ -39,6 +39,17 @@ def single():
     return validate([0.5], [2.0], [0.3], [-0.7])
 
 
+def tiles(intervals, n):
+    """Assert that a partition, a tuple of (left, right) index pairs, tiles
+    0..n-1 contiguously and in order."""
+    assert isinstance(intervals, tuple), intervals
+    expect = 0
+    for g, d in intervals:
+        assert g == expect and d >= g, intervals
+        expect = d + 1
+    assert expect == n, intervals
+
+
 def random_data(seed, n_max=12, zero_acceleration=False):
     from stickygas.instances import random_instance
 

@@ -7,7 +7,6 @@ import pytest
 
 import stickygas.dynamics as dynamics
 from stickygas import (
-    brute_force_partition,
     brute_force_partitions,
     next_collision,
     simulate,
@@ -15,10 +14,10 @@ from stickygas import (
 )
 from stickygas.errors import PreconditionViolated, TimeOutOfRange
 from stickygas.instances import random_instance
-from stickygas.model import interval_path, make_cluster, Partition
+from stickygas.model import interval_path, make_cluster
 from stickygas.tolerances import DEFAULT_TOL
 from stickygas.verify import conservation_suite, inject_velocity_fault, sample_times
-from tests.conftest import lattice_instance, random_data
+from tests.conftest import lattice_instance, random_data, tiles
 
 
 def rescan_simulate(data, t_end=math.inf):
@@ -202,8 +201,7 @@ def check_lives(data, t_end=math.inf):
     assert tl.n_segments == len(snapshots)
     for i in range(tl.n_segments):
         seg = tl.segment(i)
-        Partition(seg.clusters)  # raises unless they tile 0.. in order
-        assert seg.clusters[-1].right_index == data.n - 1
+        tiles(tuple(c.interval for c in seg.clusters), data.n)
         for col, values in ((seg.size, [c.size for c in seg.clusters]),
                             (seg.mass, [c.mass for c in seg.clusters]),
                             (seg.theta, [c.acceleration for c in seg.clusters]),
@@ -220,7 +218,7 @@ def check_lives(data, t_end=math.inf):
             assert (seg.t_lo, seg.t_hi) == (t_lo, t_hi)
             assert list(seg.clusters) == clusters and list(seg.paths) == paths
             if not left:
-                assert tl.partition_at(t) == Partition(tuple(clusters))
+                assert tl.partition_at(t) == tuple(c.interval for c in clusters)
             sizes = [c.size for c in clusters]
             expected = (np.repeat([p(t) for p in paths], sizes),
                         np.repeat([p.derivative(t) for p in paths], sizes),
@@ -438,16 +436,13 @@ def grazing_pair(gap, t_min, curvature=1.0):
 
 class TestBruteForceOracle:
     def test_single_particle(self, single):
-        part = brute_force_partition(single, 1.0, 1e-3)
-        assert part.intervals == ((0, 0),)
+        assert brute_force_partitions(single, [1.0], 1e-3)[0] == ((0, 0),)
 
     def test_triple_merged(self, triple):
-        part = brute_force_partition(triple, 1.5, 1e-5)
-        assert part.intervals == ((0, 2),)
+        assert brute_force_partitions(triple, [1.5], 1e-5)[0] == ((0, 2),)
 
     def test_pre_shock_still_split(self, triple):
-        part = brute_force_partition(triple, 0.5, 1e-4)
-        assert part.intervals == ((0, 0), (1, 1), (2, 2))
+        assert brute_force_partitions(triple, [0.5], 1e-4)[0] == ((0, 0), (1, 1), (2, 2))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_engine_on_random_instances(self, seed):
@@ -457,7 +452,8 @@ class TestBruteForceOracle:
         times = sample_times(tl, rng, 5, min_gap=10 * dt)
         parts = brute_force_partitions(data, times, dt)
         for t, part in zip(times, parts):
-            assert tl.partition_at(t).intervals == part.intervals
+            tiles(part, data.n)
+            assert tl.partition_at(t) == part
 
 
 class TestOracleGrid:
@@ -480,7 +476,7 @@ class TestOracleGrid:
             ref = brute_force_partitions(data, times, 1e-3)
             for chunk in (1, 7, 333):
                 got = brute_force_partitions(data, times, 1e-3, chunk=chunk)
-                assert [p.intervals for p in got] == [p.intervals for p in ref]
+                assert got == ref
 
     def test_memory_does_not_grow_with_horizon(self, monkeypatch):
         # apart: particles moving apart never merge, so the bound skips the
@@ -506,7 +502,7 @@ class TestOracleGrid:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert parts[0].intervals == tuple((j, j) for j in range(data.n))
+            assert parts[0] == tuple((j, j) for j in range(data.n))
             assert sum(stepped) == n_stepped
             assert peak < 2 * 2**20  # the whole 2e6-step grid alone is 16 MB
 
@@ -527,7 +523,10 @@ class TestOracleGrid:
 
 
 def oracle_intervals(data, times, dt, chunk):
-    return [p.intervals for p in brute_force_partitions(data, times, dt, chunk=chunk)]
+    parts = brute_force_partitions(data, times, dt, chunk=chunk)
+    for part in parts:
+        tiles(part, data.n)
+    return parts
 
 
 def with_reference(cases, dt=1e-5):

@@ -17,7 +17,7 @@ from stickygas import gvp
 from stickygas.errors import InadmissibleData, IndexOutOfRange, SamplingExhausted
 from stickygas.gvp import classical_clusters, endpoint_tie_indices
 from stickygas.verify import sample_times
-from tests.conftest import random_data
+from tests.conftest import random_data, tiles
 
 # closing speed 2 over a unit gap: the free parabolas cross at 2 +- sqrt(2)
 CASE1 = dict(positions=[0.0, 1.0], masses=[1.0, 1.0],
@@ -57,14 +57,14 @@ class TestEndpointConditions:
 
 class TestClustersFromGvp:
     def test_time_zero_is_singletons(self, triple):
-        assert clusters_from_gvp(triple, 0.0).intervals == ((0, 0), (1, 1), (2, 2))
+        assert clusters_from_gvp(triple, 0.0) == ((0, 0), (1, 1), (2, 2))
 
     def test_head_on(self, head_on):
-        assert clusters_from_gvp(head_on, 2.0).intervals == ((0, 1),)
+        assert clusters_from_gvp(head_on, 2.0) == ((0, 1),)
 
     def test_weighted_pair_straddle(self, weighted_pair):
-        assert clusters_from_gvp(weighted_pair, 1.0).intervals == ((0, 0), (1, 1))
-        assert clusters_from_gvp(weighted_pair, 2.0).intervals == ((0, 1),)
+        assert clusters_from_gvp(weighted_pair, 1.0) == ((0, 0), (1, 1))
+        assert clusters_from_gvp(weighted_pair, 2.0) == ((0, 1),)
 
     def test_requires_admissible(self):
         d = validate(**CASE1)
@@ -103,7 +103,7 @@ class TestEquivalence:
         tl = simulate(d)
         t1, t2 = 2 - math.sqrt(2), 2 + math.sqrt(2)
         assert tl.event_times[0] == pytest.approx(t1, rel=1e-12)
-        assert tl.partition_at(t2 + 0.5).intervals == ((0, 1),)
+        assert tl.partition_at(t2 + 0.5) == ((0, 1),)
 
         F = GvpFunctional(d, t2 + 0.5)
         assert not interior_condition(F, 0, 1, 1)
@@ -139,7 +139,7 @@ class TestPerClusterInvariant:
         tl = simulate(data)
         for t in sample_times(tl, rng, 3, 1e-6):
             F = GvpFunctional(data, t)
-            for g, d in tl.partition_at(t).intervals:
+            for g, d in tl.partition_at(t):
                 assert is_left_endpoint(F, g)
                 assert is_right_endpoint(F, d)
                 for y in range(g + 1, d + 1):
@@ -161,9 +161,8 @@ class TestPerClusterInvariant:
             F = GvpFunctional(d, 1.0)
             lefts = [i for i in range(n) if is_left_endpoint(F, i)]
             rights = [i for i in range(n) if is_right_endpoint(F, i)]
-            assert part.intervals == tuple(zip(lefts, rights))
-            assert part.intervals[0][0] == 0
-            assert part.intervals[-1][1] == n - 1
+            assert part == tuple(zip(lefts, rights))
+            tiles(part, n)
 
 
 def _reference_margins(F):
@@ -219,7 +218,7 @@ class TestSplitMargins:
         F = GvpFunctional(single, 0.7)
         assert F.split_margins.shape == (0,)
         assert endpoint_tie_indices(F) == []
-        assert clusters_from_gvp(single, 0.7).intervals == ((0, 0),)
+        assert clusters_from_gvp(single, 0.7) == ((0, 0),)
         for t in (0.5, 1.0, 2.0):
             F = GvpFunctional(head_on, t)
             assert np.array_equal(F.split_margins, [F.left_endpoint_margin(1)])
@@ -263,7 +262,9 @@ class TestClassicalReduction:
         for t in sample_times(tl, rng, 3, 1e-6):
             new = clusters_from_gvp(data, t)
             classical = classical_clusters(data, t)
-            assert new.intervals == classical.intervals
+            tiles(new, data.n)
+            tiles(classical, data.n)
+            assert new == classical
 
 
 class TestSampleTimes:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -80,6 +81,14 @@ class TestInstanceFormat:
                 + field.format(bad) + "}")
         with pytest.raises(InstanceFormatError, match="finite"):
             parse_instance(text)
+
+    @pytest.mark.parametrize("key", ["abs", "rel"])
+    def test_negative_tolerance_rejected(self, key):
+        text = '{"particles": [{"x": 0, "m": 1, "v": 0, "theta": 0}], "tolerances": {"%s": %s}}'
+        with pytest.raises(InstanceFormatError, match="non-negative"):
+            parse_instance(text % (key, "-1e-9"))
+        assert parse_instance(text % (key, "0")).tolerances == Tolerances(
+            **{f"{key}_tol": 0.0})
 
 
 @pytest.fixture
@@ -204,6 +213,22 @@ class TestCli:
         assert "--n-max" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_bad_count_exit_code(self, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", f"--count={count}", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--count" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_fuzz_has_no_tolerance_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1", flag, "1e-9", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_smallest_n_max(self, tmp_path):
         assert main(["fuzz", "--count", "3", "--n-max", "2",
                      "--out-dir", str(tmp_path / "o")]) == 0
@@ -275,6 +300,33 @@ class TestCli:
             main(["simulate", str(instance_file), "--out-dir", str(tmp_path / "o"),
                   flag, "nan"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_negative_tolerance_flag_writes_nothing(self, instance_file, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(instance_file), "--out-dir", str(out), f"{flag}=-1e-9"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["abs", "rel"])
+    def test_negative_instance_tolerance_writes_nothing(self, tmp_path, capsys, key):
+        # equal accelerations: a negative abs tolerance used to end in a
+        # ZeroDivisionError traceback (exit 1), and loops forever otherwise
+        path = tmp_path / "inst.json"
+        path.write_text(HEAD_ON.replace('"t_end": 3.0', f'"tolerances": {{"{key}": -1e-9}}'))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert "InstanceFormatError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_flags_accepted(self, instance_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", str(instance_file), "--out-dir", str(out),
+                     "--tol-abs", "0", "--tol-rel", "0", "--samples", "2"]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (params["tol_abs"], params["tol_rel"]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("command", ["gvp", "dermoune"])
     @pytest.mark.parametrize("times", ["1.0,abc", "x", "0.5,", "nan", "0.5,inf"])
@@ -436,3 +488,22 @@ def test_gas_runs_without_scipy(tmp_path):
         rows = (out / name).read_text().splitlines()[1:]
         assert len(rows) == 6
         assert all(row.endswith(",true") for row in rows)
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_congestion_demo_runs(capsys):
+    runpy.run_path(str(SCRIPTS / "congestion_demo.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "velocity coincidences: [1.0]" in out
+    assert "a=0.2500" in out
+
+
+def test_two_parabola_cases_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["two_parabola_cases.py", "--count", "5",
+                                      "--out-dir", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / "two_parabola_cases.py"), run_name="__main__")
+    for name in ("two_crossings.csv", "one_crossing.csv"):
+        rows = (tmp_path / name).read_text().splitlines()
+        assert len(rows) == 6
