@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--n-max", type=_int_at_least(2), default=12,
                    help="most particles per instance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--with-oracle", action="store_true",
                    help="also run the time-stepped oracle comparison")
     p.add_argument("--inject-failure", action="store_true",

@@ -22,8 +22,10 @@ query asks for them.
 
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
-boundary.  Blocks of steps are skipped where a lower bound on every adjacent
-gap, with a proven rounding allowance, rules out a merge.  The oracle shares
+boundary.  A lower bound on each adjacent gap, with a proven rounding
+allowance, rules out a merge of that pair over a block of steps: blocks
+where it clears every pair are skipped, and elsewhere only the pairs it
+cannot clear are stepped.  The oracle shares
 only the barycentric evaluation with the event engine: neither the stepping
 nor the bound solves a root or schedules an event.
 """
@@ -431,30 +433,41 @@ def brute_force_partitions(
     are generated `chunk` steps at a time, so memory does not grow with the
     horizon.
 
-    Blocks of boundaries in which no merge can happen are skipped without
-    being built.  Let t0 be the last boundary already checked (0 at the
-    start), k1 the grid step that ends a block, t1 = min(dt + (k1-1)*dt,
-    t_max) its last boundary and h = t1 - t0.  Each adjacent pair's gap
+    The steps are checked with a certificate per adjacent pair.  Let t0 <= t1
+    be two times and h = t1 - t0.  Each adjacent pair's gap
     G(s) = P_{i+1}(s) - P_i(s) is a quadratic, so for s in [t0, t1]
     (Taylor at t0, exact)
 
         G(s) >= G(t0) - max(0, -G'(t0)) h - max(0, -(c2_{i+1} - c2_i)) h^2/2.
 
-    The block is skipped, and the requested times up to t1 take the current
-    partition, when for every pair this bound, less the allowance
+    The pair is certified over [t0, t1] when this bound, less the allowance
 
         A = 2^-47 (W + |abs_tol|) + 2^-1068 (1 + t1),
         W = S_0 + t1 S_1 + t1^2 S_2 / 2,  S_k = |c_k,i| + |c_k,i+1|,
 
-    exceeds abs_tol in binary64; the next block tried is then twice as
-    long.  Otherwise one `chunk` of boundaries is stepped as before.  The
-    differences D_k = c_k,i+1 - c_k,i of the pair's coefficient rows,
-    max(0, -D_2) and S_k are formed once per partition; the bound takes
-    G(t0) as D_0 + t0*(D_1 + 0.5*t0*D_2) and G'(t0) as D_1 + t0*D_2.  It
-    solves no root and schedules nothing, so the oracle stays independent
-    of the event engine.
+    exceeds abs_tol in binary64: then the pair's stepped difference is above
+    abs_tol at every boundary in [t0, t1].  The differences
+    D_k = c_k,i+1 - c_k,i of the pair's coefficient rows, max(0, -D_2) and
+    S_k are formed once per partition; the bound takes G(t0) as
+    D_0 + t0*(D_1 + 0.5*t0*D_2) and G'(t0) as D_1 + t0*D_2.  It solves no
+    root and schedules nothing, so the oracle stays independent of the
+    event engine.
 
-    Why no boundary of a skipped block would have merged.  Write u = 2^-53,
+    The certificate is used twice.  First, blocks of boundaries are skipped
+    without being built: with t0 the last boundary checked (0 at the start),
+    k1 the grid step that ends a block and t1 = min(dt + (k1-1)*dt, t_max)
+    its last boundary, a block in which every pair is certified is skipped,
+    the requested times up to t1 take the current partition, and the next
+    block tried is twice as long.  A refused block longer than `chunk` steps
+    is halved and asked again; only a refused block of `chunk` steps is
+    built.  Second, each built block, and what is left of it after a merge,
+    is certified again over [its first boundary, its last], and only the
+    rows of the pairs left uncertified are stepped.  A certified pair has no
+    boundary at or below abs_tol, so the first boundary needing a merge is
+    the one full stepping would find.
+
+    Why no boundary in [t0, t1] would merge a certified pair (any
+    0 <= t0 <= t1; the proof is per pair).  Write u = 2^-53,
     γ_k = ku/(1-ku) and fl(a∘b) = (a∘b)(1+δ) + η with |δ| <= u, and
     |η| <= 2^-1075 for products, η = 0 for sums (Higham, Accuracy and
     Stability of Numerical Algorithms, §2.1; Horner's rule, §5.1), and
@@ -485,9 +498,9 @@ def brute_force_partitions(
     The total, under 28uW + 2uA + γ1|abs_tol| + 2^-1070 (1 + t1), is less
     than the computed A, which is at least (1-γ8) 64u (W + |abs_tol|) +
     2^-1069 (1 + t1) (nonnegative terms, at most eight roundings).  So a
-    computed bound above abs_tol puts every stepped difference in the block
-    above abs_tol.  Coefficients of 2^500 and beyond or t1 of 2^250 and
-    beyond, where (a)-(e) could overflow, are never skipped.
+    computed bound above abs_tol puts every stepped difference of the pair
+    in [t0, t1] above abs_tol.  Coefficients of 2^500 and beyond or t1 of
+    2^250 and beyond, where (a)-(e) could overflow, certify no pair.
     """
     if not 0.0 < dt < math.inf:
         raise TimeOutOfRange("dt must be positive and finite")
@@ -512,7 +525,8 @@ def brute_force_partitions(
                 requested[t] = tuple(intervals)
 
     def skip(t0: float, t1: float) -> bool:
-        if not _no_merge_within(gaps, t0, t1, tol.abs_tol):
+        certified = _no_merge_within(gaps, t0, t1, tol.abs_tol)
+        if certified is None or not certified.all():
             return False
         record_upto(t1)
         return True
@@ -524,12 +538,10 @@ def brute_force_partitions(
         bi = 0
         while bi < len(bounds) and len(intervals) > 1:
             tchunk = bounds[bi:]
-            pos = _eval_positions(coeffs, tchunk)  # (K, len(chunk))
-            bad_cols = np.nonzero((np.diff(pos, axis=0) <= tol.abs_tol).any(axis=0))[0]
-            if bad_cols.size == 0:
+            j = _first_merge_column(coeffs, gaps, tchunk, tol.abs_tol)
+            if j is None:
                 record_upto(tchunk[-1])
                 break
-            j = int(bad_cols[0])
             if j > 0:
                 record_upto(tchunk[j - 1])
             s = float(tchunk[j])
@@ -557,7 +569,10 @@ def _step_bounds(
     `skip(t0, t1)` is asked before each block is built whether the
     boundaries in (t0, t1] may be passed over, t0 being the last boundary
     yielded or passed over (0 at first); a block it accepts is not yielded
-    and the next block asked about is twice as long.
+    and the next block asked about is twice as long.  A refused block of
+    more than `chunk` steps is halved and asked about again; a refused block
+    of at most `chunk` steps is built and yielded, and the next block asked
+    about is `chunk` steps long.
     """
     if not sorted_times:
         return
@@ -571,6 +586,9 @@ def _step_bounds(
         if skip(t0, t1):
             taken = int(np.searchsorted(req, t1, "right"))
             k0, size, t0 = k1, 2 * size, t1
+            continue
+        if k1 - k0 > chunk:
+            size = max(chunk, (k1 - k0) // 2)
             continue
         k1 = min(k0 + chunk, n_grid)
         grid = dt + np.arange(k0, k1, dtype=float) * dt
@@ -612,11 +630,13 @@ def _no_merge_within(
     t0: float,
     t1: float,
     abs_tol: float,
-) -> bool:
-    """The block-skip certificate of brute_force_partitions: no adjacent
-    pair's stepped difference at any boundary in [t0, t1] is <= abs_tol."""
+) -> np.ndarray | None:
+    """The certificate of brute_force_partitions, per adjacent pair: True
+    where the pair's stepped difference at every boundary in [t0, t1] is
+    above abs_tol.  None when the certificate clears no pair (coefficients
+    or t1 too large)."""
     if gaps is None or t1 >= _SKIP_MAX_TIME:
-        return False
+        return None
     (d0, d1, d2), curvature, (s0, s1, s2) = gaps
     gap = d0 + t0 * (d1 + 0.5 * t0 * d2)
     slope = d1 + t0 * d2
@@ -624,7 +644,33 @@ def _no_merge_within(
     h = t1 - t0
     allowance = _SKIP_ROUNDING * (width + abs(abs_tol)) + _SKIP_UNDERFLOW * (1.0 + t1)
     bound = (gap - np.maximum(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
-    return bool((bound > abs_tol).all())
+    return bound > abs_tol
+
+
+def _first_merge_column(
+    coeffs: np.ndarray,
+    gaps: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    ts: np.ndarray,
+    abs_tol: float,
+) -> int | None:
+    """Index of the first boundary in ts at which an adjacent pair's stepped
+    difference is <= abs_tol, or None.  Only the rows of the pairs that the
+    certificate leaves uncertified over [ts[0], ts[-1]] are stepped."""
+    certified = _no_merge_within(gaps, float(ts[0]), float(ts[-1]), abs_tol)
+    if certified is None:
+        pairs = np.arange(len(coeffs) - 1)
+    else:
+        pairs = np.flatnonzero(~certified)
+        if pairs.size == 0:
+            return None
+    stepped = np.zeros(len(coeffs), dtype=bool)
+    stepped[pairs] = True
+    stepped[pairs + 1] = True
+    rows = np.flatnonzero(stepped)
+    pos = _eval_positions(coeffs[rows], ts)  # (rows, len(ts))
+    left = np.searchsorted(rows, pairs)
+    bad_cols = np.flatnonzero((pos[left + 1] - pos[left] <= abs_tol).any(axis=0))
+    return int(bad_cols[0]) if bad_cols.size else None
 
 
 def _interval_coeffs(data: InitialData, intervals: list[tuple[int, int]]) -> np.ndarray:

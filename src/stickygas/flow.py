@@ -25,13 +25,14 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 def _cluster_sums(timeline: ShockTimeline, cluster: Cluster, t: float):
     """Direct compensated sums: E[.|cluster] reference values at time t."""
-    d = timeline.initial
+    x, m, v, th = timeline.initial.atoms
+    t = float(t)
     g, r = cluster.interval
     idx = range(g, r + 1)
-    mass = math.fsum(d.masses[j] for j in idx)
-    pos = math.fsum(d.masses[j] * (d.positions[j] + t * (d.velocities[j] + 0.5 * t * d.accelerations[j])) for j in idx) / mass
-    vel = math.fsum(d.masses[j] * (d.velocities[j] + t * d.accelerations[j]) for j in idx) / mass
-    acc = math.fsum(d.masses[j] * d.accelerations[j] for j in idx) / mass
+    mass = math.fsum(m[j] for j in idx)
+    pos = math.fsum(m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j])) for j in idx) / mass
+    vel = math.fsum(m[j] * (v[j] + t * th[j]) for j in idx) / mass
+    acc = math.fsum(m[j] * th[j] for j in idx) / mass
     return pos, vel, acc
 
 

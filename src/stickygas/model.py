@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +46,14 @@ class InitialData:
     @property
     def total_mass(self) -> float:
         return math.fsum(self.masses)
+
+    @cached_property
+    def atoms(self) -> tuple[list[float], list[float], list[float], list[float]]:
+        """Positions, masses, velocities and accelerations as lists of Python
+        floats, for per-atom sums (the same IEEE operations as on numpy
+        scalars, without their per-element overhead)."""
+        return (self.positions.tolist(), self.masses.tolist(),
+                self.velocities.tolist(), self.accelerations.tolist())
 
 
 def validate(
@@ -96,23 +105,15 @@ def cluster_aggregates(
     """
     if not (0 <= g <= d < data.n):
         raise IndexOutOfRange(f"interval [{g}, {d}] outside 0..{data.n - 1}")
-    idx = range(g, d + 1)
-    m = data.masses
-    x = data.positions
-    v = data.velocities
-    th = data.accelerations
-    mass = _running_sum(m[j] for j in idx)
-    force = _running_sum(m[j] * th[j] for j in idx)
-    momentum = _running_sum(m[j] * (v[j] + t * th[j]) for j in idx)
-    moment = _running_sum(m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j])) for j in idx)
-    return float(mass), float(force / mass), float(momentum / mass), float(moment / mass)
-
-
-def _running_sum(values: Iterable[float]) -> float:
-    total = 0.0
-    for val in values:
-        total += val
-    return total
+    x, m, v, th = data.atoms
+    t = float(t)
+    mass = force = momentum = moment = 0.0
+    for j in range(g, d + 1):
+        mass += m[j]
+        force += m[j] * th[j]
+        momentum += m[j] * (v[j] + t * th[j])
+        moment += m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j]))
+    return mass, force / mass, momentum / mass, moment / mass
 
 
 def interval_path(data: InitialData, g: int, d: int) -> QuadraticPath:

@@ -88,10 +88,11 @@ def conservation_suite(
     force0 = float(m @ data.accelerations)
     mom0 = float(m @ data.velocities)
 
+    masses = data.atoms[1]
     for c, *_ in timeline.lives:
         recomputed = 0.0
         for j in range(c.left_index, c.right_index + 1):
-            recomputed += m[j]
+            recomputed += masses[j]
         if recomputed != c.mass:
             return SuiteResult("conservation", False,
                                f"cluster {c.interval} mass drifted from its member sum")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stickygas import (
     cluster_aggregates,
     lemma_quadratic_dominance,
     quadratic_meet_times,
+    simulate,
     validate,
 )
 from stickygas.errors import (
@@ -22,6 +24,10 @@ from stickygas.errors import (
     NonPositiveMass,
     PreconditionViolated,
 )
+from stickygas.flow import _cluster_sums
+from stickygas.model import make_cluster
+from stickygas.tolerances import Tolerances
+from tests.conftest import lattice_instance, random_data
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -98,6 +104,103 @@ class TestClusterAggregates:
                                 ((m1 * v1 + m2 * v2) / (m1 + m2), v),
                                 ((m1 * x1 + m2 * x2) / (m1 + m2), x)):
             assert combined == pytest.approx(whole, rel=1e-13, abs=1e-13)
+
+
+def numpy_scalar_aggregates(data, g, d, t):
+    """cluster_aggregates as it was written over numpy scalars, kept as the
+    reference for the Python-float sums."""
+    idx = range(g, d + 1)
+    m, x, v, th = data.masses, data.positions, data.velocities, data.accelerations
+
+    def running(values):
+        total = 0.0
+        for val in values:
+            total += val
+        return total
+
+    mass = running(m[j] for j in idx)
+    force = running(m[j] * th[j] for j in idx)
+    momentum = running(m[j] * (v[j] + t * th[j]) for j in idx)
+    moment = running(m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j])) for j in idx)
+    return float(mass), float(force / mass), float(momentum / mass), float(moment / mass)
+
+
+def numpy_scalar_cluster_sums(data, g, r, t):
+    """flow._cluster_sums as it was written over numpy scalars."""
+    idx = range(g, r + 1)
+    mass = math.fsum(data.masses[j] for j in idx)
+    pos = math.fsum(data.masses[j] * (data.positions[j] + t * (
+        data.velocities[j] + 0.5 * t * data.accelerations[j])) for j in idx) / mass
+    vel = math.fsum(data.masses[j] * (data.velocities[j] + t * data.accelerations[j])
+                    for j in idx) / mass
+    acc = math.fsum(data.masses[j] * data.accelerations[j] for j in idx) / mass
+    return pos, vel, acc
+
+
+def sum_cases():
+    """(data, times): random and integer-lattice instances at their event
+    times and at random times, signed zeros, and sums that overflow."""
+    cases = []
+    for seed in range(12):
+        data, rng = random_data(seed + 9100)
+        cases.append((data, [*simulate(data).event_times, *rng.uniform(0.0, 5.0, 3)]))
+        data = lattice_instance(seed + 9200, 9)
+        cases.append((data, [*simulate(data).event_times, *rng.uniform(0.0, 5.0, 3)]))
+    zeros = validate([-1.0, -0.0, 2.0], [1.0, 2.0, 0.5], [-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0])
+    cases.append((zeros, [0.0, -0.0, 1.5]))
+    huge = validate([0.0, 1e300, 1.5e308], [1e300, 3.0, 1e10], [1e300, -1e300, 1e-300],
+                    [1e10, -1e10, -1e300])
+    cases.append((huge, [0.0, 1e-5, 1e10]))
+    return cases
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or the name of the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except (OverflowError, ValueError) as exc:  # math.fsum's overflow, inf - inf
+        return type(exc).__name__
+
+
+class TestPythonFloatSums:
+    """The per-atom sums over InitialData.atoms give the floats of the same
+    sums over numpy scalars, bit for bit, without overflow warnings."""
+
+    def test_aggregates_and_cluster_sums_are_bitwise_equal(self):
+        checked = 0
+        for data, times in sum_cases():
+            timeline = simulate(data)
+            for t, g in ((t, g) for t in times for g in range(data.n)):
+                for d in range(g, data.n):
+                    with np.errstate(all="ignore"):
+                        ref = outcome(numpy_scalar_aggregates, data, g, d, t)
+                        ref_sums = outcome(numpy_scalar_cluster_sums, data, g, d, t)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        assert outcome(cluster_aggregates, data, g, d, t) == ref, (g, d, t)
+                        cluster = make_cluster(data, g, d, t)
+                        assert outcome(_cluster_sums, timeline, cluster, t) == ref_sums
+                    checked += 1
+        assert checked > 3000
+
+    def test_atoms_are_cached_python_floats(self, weighted_pair):
+        atoms = weighted_pair.atoms
+        assert weighted_pair.atoms is atoms
+        assert [type(v) for column in atoms for v in column] == [float] * 8
+        assert atoms == (weighted_pair.positions.tolist(), weighted_pair.masses.tolist(),
+                         weighted_pair.velocities.tolist(),
+                         weighted_pair.accelerations.tolist())
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_negative_or_non_finite_rejected(self, field, bad):
+        with pytest.raises(PreconditionViolated):
+            Tolerances(**{field: bad})
+
+    def test_zero_accepted(self):
+        assert Tolerances(abs_tol=0.0, rel_tol=0.0) == Tolerances(0.0, 0.0)
 
 
 class TestMeetTimes:

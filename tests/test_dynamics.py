@@ -606,6 +606,68 @@ class TestOracleSkip:
         assert verdicts == {1, 2}
 
 
+def stepped_calls(monkeypatch):
+    """Record (rows, columns) of every _eval_positions call made while
+    stepping a block, leaving out _merge_at's single-time cascade."""
+    calls, merging = [], []
+    eval_positions, merge_at = dynamics._eval_positions, dynamics._merge_at
+
+    def counted(coeffs, ts):
+        if not merging:
+            calls.append((coeffs.shape[0], ts.size))
+        return eval_positions(coeffs, ts)
+
+    def merge(*args):
+        merging.append(True)
+        try:
+            return merge_at(*args)
+        finally:
+            merging.pop()
+
+    monkeypatch.setattr(dynamics, "_eval_positions", counted)
+    monkeypatch.setattr(dynamics, "_merge_at", merge)
+    return calls
+
+
+class TestOracleSteppedWork:
+    """A refused skip block is halved down to `chunk` steps before anything
+    is stepped, and a stepped block evaluates only the rows of the pairs its
+    certificate cannot clear."""
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_head_on_pair_steps_one_chunk(self, monkeypatch, chunk):
+        # the pair meets at t = 50, five million grid steps in
+        data = validate([0.0, 100.0], [1.0, 1.0], [1.0, -1.0], [0.0, 0.0])
+        expected = stepped_intervals(data, [60.0], 1e-5)
+        assert expected == [((0, 1),)]
+        calls = stepped_calls(monkeypatch)
+        built = []
+        step_bounds = dynamics._step_bounds
+
+        def counted_bounds(*args):
+            for bounds in step_bounds(*args):
+                built.append(bounds.size)
+                yield bounds
+
+        monkeypatch.setattr(dynamics, "_step_bounds", counted_bounds)
+        assert brute_force_partitions(data, [60.0], 1e-5, chunk=chunk) == expected
+        assert 0 < sum(built) <= chunk + 1
+        assert 0 < sum(cols for _, cols in calls) <= chunk + 1
+
+    def test_one_closing_pair_steps_two_rows(self, monkeypatch):
+        # twelve particles moving apart but for the pair (5, 6), which meets
+        # at t = 0.5; the merged cluster rests while its neighbours leave
+        v = [-0.6, -0.5, -0.4, -0.3, -0.2, 1.0, -1.0, 0.2, 0.3, 0.4, 0.5, 0.6]
+        data = validate(np.arange(12, dtype=float), np.ones(12), v, np.zeros(12))
+        times = [0.25, 3.0]
+        expected = stepped_intervals(data, times, 1e-5)
+        assert expected[1] == tuple((j, j) for j in range(5)) + ((5, 6),) + tuple(
+            (j, j) for j in range(7, 12))
+        calls = stepped_calls(monkeypatch)
+        assert brute_force_partitions(data, times, 1e-5) == expected
+        assert calls and all(rows <= 2 for rows, _ in calls)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(30))
     def test_conservation_and_ordering(self, seed):

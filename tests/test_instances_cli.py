@@ -223,6 +223,20 @@ class TestCli:
         assert "--count" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-5", "-1", "x"])
+    def test_bad_seed_exit_code(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1", f"--seed={seed}", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_seed_accepted(self, tmp_path):
+        assert main(["fuzz", "--count", "1", "--seed", "0", "--n-max", "3",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
     def test_fuzz_has_no_tolerance_flags(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
