@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gas as gaslib
-from .dynamics import ShockTimeline, simulate
+from .dynamics import ShockTimeline, horizon_of, simulate
 from .errors import InadmissibleData, StickyError
 from .flow import dermoune_identity_residuals, right_derivative_check
 from .gvp import gvp_equivalence_check
@@ -35,7 +35,6 @@ from .testfunctions import covering_test_functions
 from .tolerances import Tolerances
 from .verify import (
     conservation_suite,
-    horizon_of,
     inject_velocity_fault,
     run_instance_suites,
 )
@@ -328,12 +327,12 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _finite_floats(text: str) -> list[float]:
+def _times(text: str) -> list[float]:
     try:
-        return [_finite_float(s) for s in text.split(",")]
+        return [_nonnegative_float(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite numbers, got {text!r}") from None
+            f"expected comma-separated non-negative finite numbers, got {text!r}") from None
 
 
 def _window(text: str) -> tuple[float, float]:
@@ -342,6 +341,8 @@ def _window(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected t1:t2 with finite numbers, got {text!r}") from None
+    if not 0.0 < t1 < t2:
+        raise argparse.ArgumentTypeError(f"expected 0 < t1 < t2, got {text!r}")
     return t1, t2
 
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gvp", help="compare variational partitions against simulation")
     common(p)
-    p.add_argument("--times", type=_finite_floats, required=True,
+    p.add_argument("--times", type=_times, required=True,
                    help="comma-separated times")
     p.set_defaults(func=cmd_gvp)
 
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dermoune", help="conditional-expectation identity residuals")
     common(p)
-    p.add_argument("--times", type=_finite_floats, required=True,
+    p.add_argument("--times", type=_times, required=True,
                    help="comma-separated times")
     p.set_defaults(func=cmd_dermoune)
 

@@ -23,11 +23,13 @@ query asks for them.
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
 boundary.  A lower bound on each adjacent gap, with a proven rounding
-allowance, rules out a merge of that pair over a block of steps: blocks
-where it clears every pair are skipped, and elsewhere only the pairs it
-cannot clear are stepped.  The oracle shares
-only the barycentric evaluation with the event engine: neither the stepping
-nor the bound solves a root or schedules an event.
+allowance, rules out a merge of that pair over a block of steps.  One loop
+asks the bound once per block: a block where it clears every pair is
+skipped, a longer refused block is halved, and a refused block of at most
+`_CHUNK` steps is built and steps only the pairs those same verdicts left
+uncleared.  The oracle shares only the barycentric evaluation with the
+event engine: neither the stepping nor the bound solves a root or schedules
+an event.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IdenticalPaths, PreconditionViolated, TimeOutOfRange
+from .errors import IdenticalPaths, TimeOutOfRange
 from .model import Cluster, InitialData, interval_path, make_cluster, validate
 from .quadratics import QuadraticPath, quadratic_meet_times
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -293,6 +295,16 @@ class ShockTimeline:
         return self.event_times[idx] - t
 
 
+def horizon_of(timeline: ShockTimeline) -> float:
+    """A finite window that covers all events with a margin: t_end when
+    finite, else the last shock time plus 1, else 1."""
+    if math.isfinite(timeline.t_end):
+        return timeline.t_end
+    if timeline.events:
+        return timeline.event_times[-1] + 1.0
+    return 1.0
+
+
 def simulate(
     data: InitialData,
     t_end: float = math.inf,
@@ -413,6 +425,8 @@ _SKIP_UNDERFLOW = 2.0**-1068
 # bound and of the stepped positions below 2^1002, so nothing overflows.
 _SKIP_MAX_COEFF = 2.0**500
 _SKIP_MAX_TIME = 2.0**250
+# Most grid steps built at a time: the longest block that is stepped.
+_CHUNK = 4096
 
 
 def brute_force_partitions(
@@ -420,7 +434,6 @@ def brute_force_partitions(
     times: Sequence[float],
     dt: float,
     tol: Tolerances = DEFAULT_TOL,
-    chunk: int = 4096,
 ) -> list[tuple[tuple[int, int], ...]]:
     """Partitions at the requested times from explicit time stepping, each
     the ordered tuple of its clusters' (left, right) index intervals.
@@ -429,9 +442,10 @@ def brute_force_partitions(
     every adjacent run whose barycenters are out of order or within
     tol.abs_tol, cascading until the boundary is clean.  The requested times
     are inserted as extra boundaries; detection therefore lags a true shock
-    by at most dt, so callers should sample away from shocks.  Boundaries
-    are generated `chunk` steps at a time, so memory does not grow with the
-    horizon.
+    by at most dt, so callers should sample away from shocks.  Grid values
+    are those of np.arange(dt, t_max + dt, dt) up to the last requested time
+    t_max, computed as dt + k*dt like arange does.  At most `_CHUNK` steps
+    are built at a time, so memory does not grow with the horizon.
 
     The steps are checked with a certificate per adjacent pair.  Let t0 <= t1
     be two times and h = t1 - t0.  Each adjacent pair's gap
@@ -453,18 +467,20 @@ def brute_force_partitions(
     root and schedules nothing, so the oracle stays independent of the
     event engine.
 
-    The certificate is used twice.  First, blocks of boundaries are skipped
-    without being built: with t0 the last boundary checked (0 at the start),
-    k1 the grid step that ends a block and t1 = min(dt + (k1-1)*dt, t_max)
-    its last boundary, a block in which every pair is certified is skipped,
-    the requested times up to t1 take the current partition, and the next
-    block tried is twice as long.  A refused block longer than `chunk` steps
-    is halved and asked again; only a refused block of `chunk` steps is
-    built.  Second, each built block, and what is left of it after a merge,
-    is certified again over [its first boundary, its last], and only the
-    rows of the pairs left uncertified are stepped.  A certified pair has no
-    boundary at or below abs_tol, so the first boundary needing a merge is
-    the one full stepping would find.
+    One loop walks the grid a block of steps at a time, and each block
+    decision asks the certificate once.  With t0 the last boundary checked
+    (0 at the start, the boundary itself after a merge), k1 the grid step
+    that ends a block and t1 = min(dt + (k1-1)*dt, t_max) its last boundary
+    (t_max for the block that ends the grid), a block in which every pair is
+    certified over [t0, t1] is skipped without being built: the requested
+    times up to t1 take the current partition, and the next block tried is
+    twice as long.  A refused block longer than `_CHUNK` steps is halved and
+    asked again.  A refused block of at most `_CHUNK` steps is built, and
+    the verdicts that refused it pick its rows: only the pairs they left
+    uncertified are stepped.  A certified pair has no boundary at or below
+    abs_tol anywhere in [t0, t1], so the first boundary needing a merge is
+    the one full stepping would find.  After a merge at boundary s the loop
+    starts again at s with a block of `_CHUNK` steps.
 
     Why no boundary in [t0, t1] would merge a certified pair (any
     0 <= t0 <= t1; the proof is per pair).  Write u = 2^-53,
@@ -504,105 +520,60 @@ def brute_force_partitions(
     """
     if not 0.0 < dt < math.inf:
         raise TimeOutOfRange("dt must be positive and finite")
-    if chunk < 1:
-        raise PreconditionViolated("chunk must be at least 1")
     data = validate(data)
-    order = np.argsort(times, kind="stable")
-    sorted_times = [float(times[i]) for i in order]
-    if sorted_times and sorted_times[0] < 0.0:
-        raise TimeOutOfRange("sample times must be nonnegative")
-    if not all(map(math.isfinite, sorted_times)):
+    ts = [float(t) for t in times]
+    if not all(map(math.isfinite, ts)):
         raise TimeOutOfRange("sample times must be finite")
-    requested = {t: None for t in sorted_times}
+    if ts and min(ts) < 0.0:
+        raise TimeOutOfRange("sample times must be nonnegative")
+    wanted = _distinct(np.asarray(sorted(ts))).tolist()  # ascending
+    parts: list[tuple[tuple[int, int], ...]] = []  # the partitions at wanted[:len(parts)]
 
     intervals: list[tuple[int, int]] = [(j, j) for j in range(data.n)]
     coeffs = _interval_coeffs(data, intervals)
+
+    def record(count: int) -> None:
+        """The current partition for wanted[len(parts):count]."""
+        parts.extend([tuple(intervals)] * (count - len(parts)))
+
+    if wanted and wanted[0] == 0.0:
+        # a requested 0 takes the initial partition and is a step boundary
+        record(1)
+        intervals, coeffs = _merge_at(data, intervals, coeffs, wanted[0], tol)
     gaps = _gap_rows(coeffs)
-
-    def record_upto(upto: float) -> None:
-        for t in requested:
-            if requested[t] is None and t <= upto:
-                requested[t] = tuple(intervals)
-
-    def skip(t0: float, t1: float) -> bool:
-        certified = _no_merge_within(gaps, t0, t1, tol.abs_tol)
-        if certified is None or not certified.all():
-            return False
-        record_upto(t1)
-        return True
-
-    if 0.0 in requested:
-        requested[0.0] = tuple(intervals)
-
-    for bounds in _step_bounds(sorted_times, dt, chunk, skip):
-        bi = 0
-        while bi < len(bounds) and len(intervals) > 1:
-            tchunk = bounds[bi:]
-            j = _first_merge_column(coeffs, gaps, tchunk, tol.abs_tol)
-            if j is None:
-                record_upto(tchunk[-1])
-                break
-            if j > 0:
-                record_upto(tchunk[j - 1])
-            s = float(tchunk[j])
-            intervals, coeffs = _merge_at(data, intervals, coeffs, s, tol)
-            gaps = _gap_rows(coeffs)
-            record_upto(s)
-            bi += j + 1
-        if len(intervals) == 1:
-            break
-    record_upto(math.inf)
-    return [requested[float(t)] for t in times]
-
-
-def _step_bounds(
-    sorted_times: list[float],
-    dt: float,
-    chunk: int,
-    skip: Callable[[float, float], bool],
-):
-    """The sorted, distinct step boundaries: the grid dt, 2dt, ... up to the
-    last requested time, with the requested times merged in, `chunk` grid
-    steps at a time.  Grid values are those of
-    np.arange(dt, t_max + dt, dt), computed as dt + k*dt like arange does.
-
-    `skip(t0, t1)` is asked before each block is built whether the
-    boundaries in (t0, t1] may be passed over, t0 being the last boundary
-    yielded or passed over (0 at first); a block it accepts is not yielded
-    and the next block asked about is twice as long.  A refused block of
-    more than `chunk` steps is halved and asked about again; a refused block
-    of at most `chunk` steps is built and yielded, and the next block asked
-    about is `chunk` steps long.
-    """
-    if not sorted_times:
-        return
-    req = _distinct(np.asarray(sorted_times))
-    t_max = sorted_times[-1]
+    t_max = wanted[-1] if wanted else 0.0
     n_grid = math.ceil((t_max + dt - dt) / dt)  # np.arange's length
-    taken, k0, size, t0 = 0, 0, chunk, 0.0
-    while k0 < n_grid:
+    k0, size, t0 = 0, _CHUNK, 0.0
+    while len(parts) < len(wanted) and len(intervals) > 1:
         k1 = min(k0 + size, n_grid)
-        t1 = min(dt + (k1 - 1) * dt, t_max)
-        if skip(t0, t1):
-            taken = int(np.searchsorted(req, t1, "right"))
-            k0, size, t0 = k1, 2 * size, t1
+        t1 = t_max if k1 == n_grid else min(dt + (k1 - 1) * dt, t_max)
+        certified = _no_merge_within(gaps, t0, t1, tol.abs_tol)
+        if certified is not None and certified.all():
+            size *= 2
+        elif k1 - k0 > _CHUNK:
+            size = max(_CHUNK, (k1 - k0) // 2)
             continue
-        if k1 - k0 > chunk:
-            size = max(chunk, (k1 - k0) // 2)
-            continue
-        k1 = min(k0 + chunk, n_grid)
-        grid = dt + np.arange(k0, k1, dtype=float) * dt
-        grid = grid[grid <= t_max]
-        if grid.size == 0:
-            break
-        upto = int(np.searchsorted(req, grid[-1], "right"))
-        bounds = np.concatenate([grid, req[taken:upto]])
-        bounds.sort()
-        bounds = _distinct(bounds)
-        yield bounds
-        taken, k0, size, t0 = upto, k1, chunk, float(bounds[-1])
-    if taken < req.size:
-        yield req[taken:]
+        else:
+            grid = dt + np.arange(k0, k1, dtype=float) * dt
+            grid = grid[grid <= t1]
+            bounds = np.concatenate([grid, wanted[len(parts) : bisect_right(wanted, t1)]])
+            bounds.sort()
+            bounds = _distinct(bounds)
+            j = _first_merge_column(coeffs, certified, bounds, tol.abs_tol)
+            size = _CHUNK
+            if j is not None:
+                t0 = float(bounds[j])
+                record(bisect_left(wanted, t0))
+                intervals, coeffs = _merge_at(data, intervals, coeffs, t0, tol)
+                gaps = _gap_rows(coeffs)
+                record(bisect_right(wanted, t0))
+                k0 += int(np.searchsorted(grid, t0, "right"))
+                continue
+        # no boundary up to t1 needs a merge
+        record(bisect_right(wanted, t1))
+        k0, t0 = k1, t1
+    record(len(wanted))
+    return [parts[bisect_left(wanted, t)] for t in ts]
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
@@ -649,20 +620,18 @@ def _no_merge_within(
 
 def _first_merge_column(
     coeffs: np.ndarray,
-    gaps: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    certified: np.ndarray | None,
     ts: np.ndarray,
     abs_tol: float,
 ) -> int | None:
     """Index of the first boundary in ts at which an adjacent pair's stepped
     difference is <= abs_tol, or None.  Only the rows of the pairs that the
-    certificate leaves uncertified over [ts[0], ts[-1]] are stepped."""
-    certified = _no_merge_within(gaps, float(ts[0]), float(ts[-1]), abs_tol)
+    certificate's verdicts `certified` leave uncertified (all pairs when
+    None) are stepped."""
     if certified is None:
         pairs = np.arange(len(coeffs) - 1)
     else:
         pairs = np.flatnonzero(~certified)
-        if pairs.size == 0:
-            return None
     stepped = np.zeros(len(coeffs), dtype=bool)
     stepped[pairs] = True
     stepped[pairs + 1] = True

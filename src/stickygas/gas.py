@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import Segment, ShockTimeline
+from .dynamics import Segment, ShockTimeline, horizon_of
 from .errors import WindowOutOfRange
 from .measures import DiscreteMeasure
 from .model import InitialData
@@ -371,9 +371,7 @@ def velocity_coincidence_times(
     of velocity paths inside their segment); the only times a(., t) can be
     nonzero away from shocks."""
     if t_max is None:
-        t_max = timeline.t_end
-        if math.isinf(t_max):
-            t_max = (timeline.event_times[-1] + 1.0) if timeline.events else 1.0
+        t_max = horizon_of(timeline)
     first, last, *_, c1, c2 = timeline.columns
     bounds = np.asarray(timeline.bounds)
     found = [np.empty(0)]

@@ -9,7 +9,6 @@ cluster averages and are held to 1e-12 relative).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .dynamics import (
     ShockTimeline,
     brute_force_partitions,
+    horizon_of,
     simulate,
 )
 from .errors import SamplingExhausted
@@ -35,15 +35,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-def horizon_of(timeline: ShockTimeline) -> float:
-    """A finite window that covers all events with a margin."""
-    if math.isfinite(timeline.t_end):
-        return timeline.t_end
-    if timeline.events:
-        return timeline.event_times[-1] + 1.0
-    return 1.0
 
 
 def sample_times(

@@ -12,7 +12,7 @@ from stickygas import (
     simulate,
     validate,
 )
-from stickygas.errors import PreconditionViolated, TimeOutOfRange
+from stickygas.errors import TimeOutOfRange
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster
 from stickygas.tolerances import DEFAULT_TOL
@@ -458,25 +458,37 @@ class TestBruteForceOracle:
 
 class TestOracleGrid:
     @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.1, 1.0 / 3.0, 7.3e-6])
-    def test_streamed_bounds_equal_materialised_grid(self, dt):
+    def test_streamed_bounds_equal_materialised_grid(self, monkeypatch, dt):
+        # one ulp of 1e8 apart at rest: never certified and never merged, so
+        # every boundary is stepped, once and in order
+        data = validate([1e8, np.nextafter(1e8, np.inf)], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        stepped = []
+        eval_positions = dynamics._eval_positions
+
+        def recorded(coeffs, ts):
+            stepped.append(ts.copy())
+            return eval_positions(coeffs, ts)
+
+        monkeypatch.setattr(dynamics, "_eval_positions", recorded)
         rng = np.random.default_rng(int(dt * 1e6))
         for t_max in (0.0, dt / 2, dt, 37 * dt, 0.05, 0.3):
             times = sorted([t_max, 0.0, min(3 * dt, t_max), *rng.uniform(0.0, t_max, 3)])
             grid = np.arange(dt, t_max + dt, dt)
             expected = np.unique(np.concatenate([grid[grid <= t_max], times]))
             for chunk in (7, 4096):
-                got = list(dynamics._step_bounds(times, dt, chunk, lambda t0, t1: False))
-                joined = np.concatenate(got) if got else np.empty(0)
-                assert np.array_equal(joined, expected)
+                monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+                stepped.clear()
+                assert brute_force_partitions(data, times, dt) == [((0, 0), (1, 1))] * len(times)
+                assert np.array_equal(np.concatenate(stepped), expected)
 
-    def test_partitions_independent_of_chunk(self):
+    def test_partitions_independent_of_chunk(self, monkeypatch):
         for seed in range(6):
             data, rng = random_data(seed + 6000, 6)
             times = list(rng.uniform(0.0, 3.0, 4))
             ref = brute_force_partitions(data, times, 1e-3)
             for chunk in (1, 7, 333):
-                got = brute_force_partitions(data, times, 1e-3, chunk=chunk)
-                assert got == ref
+                monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+                assert brute_force_partitions(data, times, 1e-3) == ref
 
     def test_memory_does_not_grow_with_horizon(self, monkeypatch):
         # apart: particles moving apart never merge, so the bound skips the
@@ -516,14 +528,10 @@ class TestOracleGrid:
         with pytest.raises(TimeOutOfRange):
             brute_force_partitions(head_on, [1.0], dt)
 
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_chunk_below_one_rejected(self, head_on, chunk):
-        with pytest.raises(PreconditionViolated):
-            brute_force_partitions(head_on, [1.0], 1e-3, chunk=chunk)
 
-
-def oracle_intervals(data, times, dt, chunk):
-    parts = brute_force_partitions(data, times, dt, chunk=chunk)
+def oracle_intervals(monkeypatch, data, times, dt, chunk):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    parts = brute_force_partitions(data, times, dt)
     for part in parts:
         tiles(part, data.n)
     return parts
@@ -587,20 +595,51 @@ class TestOracleSkip:
                       [0.9, 1.0 + 3e-5, 1.5]))
         return with_reference(cases)
 
+    @pytest.fixture(scope="class")
+    def bookkeeping_cases(self):
+        dt = 1e-5
+        rng = np.random.default_rng(30_400)
+        data = random_instance(rng, 12)
+        shocks = simulate(data).event_times
+        late = [t + 3e-5 for t in shocks[-3:]]
+        # unsorted, with duplicates and both signed zeros
+        cases = [(data, [late[2], 0.0, late[0], late[2], -0.0, 0.5 * late[0], late[1],
+                         late[0]])]
+        cases.append((data, [0.0]))
+        # a head-on pair meeting at 37.2 dt, seen first at the requested time
+        # 37.5 dt, which lies between the last grid step and t_max
+        head_on = validate([0.0, 74.4 * dt], [1.0, 1.0], [1.0, -1.0], [0.0, 0.0])
+        cases.append((head_on, [10 * dt, 37 * dt + dt / 2]))
+        # a pair within abs_tol at t = 0 that separates: a requested 0 is a
+        # step boundary, so it merges there, yet keeps the initial partition
+        touching = validate([0.0, 5e-10], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0])
+        cases += [(touching, times) for times in ([0.0, 0.5], [0.5, -0.0], [0.5], [0.0])]
+        cases = with_reference(cases, dt)
+        singletons = ((0, 0), (1, 1))
+        assert cases[2][2] == [singletons, ((0, 1),)]
+        assert [expected for _, _, expected in cases[3:]] == [
+            [singletons, ((0, 1),)], [((0, 1),), singletons], [singletons], [singletons]]
+        return cases
+
     @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
-    def test_random_instances(self, random_cases, chunk):
+    def test_requested_time_bookkeeping(self, monkeypatch, bookkeeping_cases, chunk):
+        for data, times, expected in bookkeeping_cases:
+            assert oracle_intervals(monkeypatch, data, times, 1e-5, chunk) == expected
+
+    @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
+    def test_random_instances(self, monkeypatch, random_cases, chunk):
         for data, times, expected in random_cases:
-            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+            assert oracle_intervals(monkeypatch, data, times, 1e-5, chunk) == expected
 
     @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
-    def test_pile_ups_at_and_after_every_shock(self, pile_up_cases, chunk):
+    def test_pile_ups_at_and_after_every_shock(self, monkeypatch, pile_up_cases, chunk):
         for data, times, expected in pile_up_cases:
-            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+            assert oracle_intervals(monkeypatch, data, times, 1e-5, chunk) == expected
 
     @pytest.mark.parametrize("chunk", SKIP_CHUNKS)
-    def test_grazing_pairs(self, grazing_cases, chunk):
+    def test_grazing_pairs(self, monkeypatch, grazing_cases, chunk):
         for data, times, expected in grazing_cases:
-            assert oracle_intervals(data, times, 1e-5, chunk) == expected
+            assert oracle_intervals(monkeypatch, data, times, 1e-5, chunk) == expected
         # the cases reach both verdicts
         verdicts = {len(expected[-1]) for _, _, expected in grazing_cases}
         assert verdicts == {1, 2}
@@ -630,9 +669,9 @@ def stepped_calls(monkeypatch):
 
 
 class TestOracleSteppedWork:
-    """A refused skip block is halved down to `chunk` steps before anything
-    is stepped, and a stepped block evaluates only the rows of the pairs its
-    certificate cannot clear."""
+    """A refused skip block is halved down to `_CHUNK` steps before anything
+    is stepped, and a stepped block evaluates only the rows of the pairs the
+    verdicts that refused it cannot clear."""
 
     @pytest.mark.parametrize("chunk", [7, 4096])
     def test_head_on_pair_steps_one_chunk(self, monkeypatch, chunk):
@@ -641,17 +680,8 @@ class TestOracleSteppedWork:
         expected = stepped_intervals(data, [60.0], 1e-5)
         assert expected == [((0, 1),)]
         calls = stepped_calls(monkeypatch)
-        built = []
-        step_bounds = dynamics._step_bounds
-
-        def counted_bounds(*args):
-            for bounds in step_bounds(*args):
-                built.append(bounds.size)
-                yield bounds
-
-        monkeypatch.setattr(dynamics, "_step_bounds", counted_bounds)
-        assert brute_force_partitions(data, [60.0], 1e-5, chunk=chunk) == expected
-        assert 0 < sum(built) <= chunk + 1
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        assert brute_force_partitions(data, [60.0], 1e-5) == expected
         assert 0 < sum(cols for _, cols in calls) <= chunk + 1
 
     def test_one_closing_pair_steps_two_rows(self, monkeypatch):

@@ -176,7 +176,8 @@ class TestCli:
                   "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("window", ["1:inf", "nan:1", "1:", "a:b", "-inf:1", "1:2:3"])
+    @pytest.mark.parametrize("window", ["1:inf", "nan:1", "1:", "a:b", "-inf:1", "1:2:3",
+                                        "1:0.5", "0:1", "1:1"])
     def test_non_finite_window_exit_code(self, instance_file, tmp_path, capsys, window):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -343,7 +344,8 @@ class TestCli:
         assert (params["tol_abs"], params["tol_rel"]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("command", ["gvp", "dermoune"])
-    @pytest.mark.parametrize("times", ["1.0,abc", "x", "0.5,", "nan", "0.5,inf"])
+    @pytest.mark.parametrize("times", ["1.0,abc", "x", "0.5,", "nan", "0.5,inf", "-1",
+                                       "0.5,-1e-300"])
     def test_bad_times_exit_code(self, instance_file, tmp_path, capsys, command, times):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
