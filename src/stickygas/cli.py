@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
             event_rows.append([
                 e.time, c.left_index, c.right_index,
                 ";".join(f"{g}-{d}" for g, d in grp.members),
-                c.mass, c.acceleration, c.velocity_at_formation, c.position_at_formation,
+                c.mass, c.acceleration, grp.path.derivative(e.time), grp.path(e.time),
             ])
     _write_csv(out / "events.csv",
                ["time", "left_index", "right_index", "members",
@@ -262,9 +262,7 @@ def cmd_dermoune(args) -> int:
     all_pass = True
     for t in args.times:
         res = dermoune_identity_residuals(timeline, t)
-        ok = (res.r_pos <= 1e-12 * (1.0 + res.scale_pos)
-              and res.r_vel <= 1e-12 * (1.0 + res.scale_vel)
-              and res.r_acc <= 1e-12 * (1.0 + res.scale_acc))
+        ok = res.first_failure() is None
         all_pass &= ok
         id_rows.append([t, res.r_pos, res.r_vel, res.r_acc, ok])
         gap = timeline.time_to_next_event(t)

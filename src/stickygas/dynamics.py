@@ -55,6 +55,7 @@ _VIEW_LIVES = 1 << 16  # bound on the lives held by a timeline's kept segment vi
 class MergeGroup:
     members: tuple[tuple[int, int], ...]  # cluster index ranges before the merge
     merged: Cluster
+    path: QuadraticPath  # the merged cluster's barycentric path
 
 
 @dataclass(frozen=True)
@@ -317,16 +318,18 @@ def simulate(
     only the adjacent pairs that touch a newly merged cluster, so a run
     makes at most (N-1) + 2*(merge groups) crossing-time solves.  A merge
     closes its members' lives and opens one, so at most 2N-1 lives result.
+    Each cluster is summed once, at t = 0, by make_cluster; its state at
+    formation is read off its path.
     """
     data = validate(data)
     if not t_end > 0.0:
         raise TimeOutOfRange("t_end must be positive")
-    clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
-    paths = [interval_path(data, j, j) for j in range(data.n)]
-    lefts = list(range(data.n))  # left particle index of each live cluster
     # [cluster, path, first segment, last segment] of every life so far (the
     # last is None while the cluster lives); live[k] is the life of cluster k
-    lives: list[list] = [[c, p, 0, None] for c, p in zip(clusters, paths)]
+    lives: list[list] = [[*make_cluster(data, j, j), 0, None] for j in range(data.n)]
+    clusters = [life[0] for life in lives]
+    paths = [life[1] for life in lives]
+    lefts = list(range(data.n))  # left particle index of each live cluster
     live = list(range(data.n))
     bounds = [0.0]  # segment i is [bounds[i], bounds[i + 1])
     # A pair of live clusters is keyed by the left index of its left cluster;
@@ -380,17 +383,17 @@ def simulate(
         for first, last in reversed(runs):  # right to left keeps positions valid
             members = clusters[first : last + 1]
             g, d = members[0].left_index, members[-1].right_index
-            merged = make_cluster(data, g, d, t_event)
-            records.append(MergeGroup(tuple(c.interval for c in members), merged))
+            merged, path = make_cluster(data, g, d)
+            records.append(MergeGroup(tuple(c.interval for c in members), merged, path))
             for c in members:
                 stamp[c.left_index] += 1
             for k in live[first : last + 1]:
                 lives[k][3] = ended
             clusters[first : last + 1] = [merged]
-            paths[first : last + 1] = [interval_path(data, g, d)]
+            paths[first : last + 1] = [path]
             lefts[first : last + 1] = [g]
             live[first : last + 1] = [len(lives)]
-            lives.append([merged, paths[first], ended + 1, None])
+            lives.append([merged, path, ended + 1, None])
         records.reverse()
         events.append(ShockEvent(t_event, tuple(records)))
         t_now = t_star
@@ -441,8 +444,9 @@ def brute_force_partitions(
     Advances all clusters on a grid of step dt; at each step boundary merges
     every adjacent run whose barycenters are out of order or within
     tol.abs_tol, cascading until the boundary is clean.  The requested times
-    are inserted as extra boundaries; detection therefore lags a true shock
-    by at most dt, so callers should sample away from shocks.  Grid values
+    after 0 are inserted as extra boundaries, and a requested 0 takes the
+    initial partition; detection therefore lags a true shock by at most dt,
+    so callers should sample away from shocks.  Grid values
     are those of np.arange(dt, t_max + dt, dt) up to the last requested time
     t_max, computed as dt + k*dt like arange does.  At most `_CHUNK` steps
     are built at a time, so memory does not grow with the horizon.
@@ -537,9 +541,8 @@ def brute_force_partitions(
         parts.extend([tuple(intervals)] * (count - len(parts)))
 
     if wanted and wanted[0] == 0.0:
-        # a requested 0 takes the initial partition and is a step boundary
+        # a requested 0 takes the initial partition and is no step boundary
         record(1)
-        intervals, coeffs = _merge_at(data, intervals, coeffs, wanted[0], tol)
     gaps = _gap_rows(coeffs)
     t_max = wanted[-1] if wanted else 0.0
     n_grid = math.ceil((t_max + dt - dt) / dt)  # np.arange's length

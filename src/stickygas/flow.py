@@ -83,6 +83,16 @@ class IdentityResiduals:
     scale_vel: float
     scale_acc: float
 
+    def first_failure(self) -> tuple[str, float] | None:
+        """The first identity (label, residual) whose residual is not within
+        1e-12 * (1 + its scale), a NaN included; None when all three pass."""
+        for label, value, scale in (("position", self.r_pos, self.scale_pos),
+                                    ("velocity", self.r_vel, self.scale_vel),
+                                    ("acceleration", self.r_acc, self.scale_acc)):
+            if not value <= 1e-12 * (1.0 + scale):
+                return label, value
+        return None
+
 
 def dermoune_identity_residuals(timeline: ShockTimeline, t: float) -> IdentityResiduals:
     """Max-over-clusters residuals of the conditional-expectation identities.

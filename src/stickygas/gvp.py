@@ -171,23 +171,20 @@ def clusters_from_gvp(
     data: InitialData,
     t: float,
     tol: Tolerances = DEFAULT_TOL,
-    require_admissible: bool = True,
-    include_acceleration: bool = True,
 ) -> tuple[tuple[int, int], ...]:
     """Partition at time t reconstructed from endpoint certificates alone, as
     the ordered (left, right) index intervals of its clusters.
 
     Within the abs_tol band a margin counts as equality and does not cut, so
     a time on a shock gives the merged side.  InadmissibleData unless the
-    acceleration profile is non-increasing or require_admissible is off.
+    acceleration profile is non-increasing.
     """
-    if require_admissible and not data.gvp_admissible:
+    if not data.gvp_admissible:
         raise InadmissibleData(
             "acceleration increases somewhere; endpoint certification is only "
             "guaranteed for non-increasing profiles (a pair with increasing "
             "acceleration re-crosses after its shock, breaking the inequality)")
-    F = GvpFunctional(data, t, include_acceleration, tol)
-    return _certified_intervals(F)
+    return _certified_intervals(GvpFunctional(data, t, tol=tol))
 
 
 def classical_clusters(

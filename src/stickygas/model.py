@@ -3,8 +3,8 @@
 Particles live on the line at strictly increasing positions, each with a
 mass, a velocity and a constant own acceleration.  A cluster is a contiguous
 index interval that has merged into one composite particle; its aggregate
-state follows from conservation of mass, momentum and force.  All aggregate
-sums run left-to-right over the index interval for reproducibility.  A
+state follows from conservation of mass, momentum and force: one sum over
+the interval at t = 0, left to right, fixes its barycentric path for all t.  A
 partition is the ordered tuple of its clusters' (left, right) index pairs,
 which tile 0..N-1.
 """
@@ -95,31 +95,23 @@ def cluster_aggregates(
     data: InitialData,
     g: int,
     d: int,
-    t: float,
 ) -> tuple[float, float, float, float]:
-    """Aggregate state (mass, theta_bar, v_bar(t), x_bar(t)) of interval [g, d].
+    """Aggregate state (mass, theta_bar, v_bar0, x_bar0) of interval [g, d].
 
     mass is the interval mass, theta_bar the mass-weighted mean acceleration,
-    v_bar(t) and x_bar(t) the barycentric velocity and position at time t.
-    Sums run left-to-right over the interval.
+    v_bar0 and x_bar0 the barycentric velocity and position at t = 0.  Sums
+    of m, m*theta, m*v and m*x run left-to-right over the interval.
     """
     if not (0 <= g <= d < data.n):
         raise IndexOutOfRange(f"interval [{g}, {d}] outside 0..{data.n - 1}")
     x, m, v, th = data.atoms
-    t = float(t)
     mass = force = momentum = moment = 0.0
     for j in range(g, d + 1):
         mass += m[j]
         force += m[j] * th[j]
-        momentum += m[j] * (v[j] + t * th[j])
-        moment += m[j] * (x[j] + t * (v[j] + 0.5 * t * th[j]))
+        momentum += m[j] * v[j]
+        moment += m[j] * x[j]
     return mass, force / mass, momentum / mass, moment / mass
-
-
-def interval_path(data: InitialData, g: int, d: int) -> QuadraticPath:
-    """Barycentric trajectory of interval [g, d] as a path in absolute time."""
-    mass, theta_bar, v_bar0, x_bar0 = cluster_aggregates(data, g, d, 0.0)
-    return QuadraticPath(x_bar0, v_bar0, theta_bar)
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,6 @@ class Cluster:
     right_index: int
     mass: float
     acceleration: float
-    velocity_at_formation: float
-    position_at_formation: float
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -143,6 +133,13 @@ class Cluster:
         return self.right_index - self.left_index + 1
 
 
-def make_cluster(data: InitialData, g: int, d: int, formed_at: float) -> Cluster:
-    mass, theta_bar, v_bar, x_bar = cluster_aggregates(data, g, d, formed_at)
-    return Cluster(g, d, mass, theta_bar, v_bar, x_bar)
+def make_cluster(data: InitialData, g: int, d: int) -> tuple[Cluster, QuadraticPath]:
+    """Cluster [g, d] and its barycentric path in absolute time, from one call
+    of cluster_aggregates; its state at any time is read off the path."""
+    mass, theta_bar, v_bar0, x_bar0 = cluster_aggregates(data, g, d)
+    return Cluster(g, d, mass, theta_bar), QuadraticPath(x_bar0, v_bar0, theta_bar)
+
+
+def interval_path(data: InitialData, g: int, d: int) -> QuadraticPath:
+    """Barycentric trajectory of interval [g, d]: the path of make_cluster."""
+    return make_cluster(data, g, d)[1]

@@ -149,22 +149,16 @@ def dermoune_suite(
     timeline: ShockTimeline,
     rng: np.random.Generator,
     n_times: int = 20,
-    factor: float = 1e-12,
 ) -> SuiteResult:
     """Conditional-expectation identities hold to 1e-12 * (1 + scale)."""
     hi = horizon_of(timeline)
     times = [0.0] + [float(t) for t in rng.uniform(0.0, hi, n_times - 1)]
     for t in times:
-        res = dermoune_identity_residuals(timeline, t)
-        checks = [
-            (res.r_pos, res.scale_pos, "position"),
-            (res.r_vel, res.scale_vel, "velocity"),
-            (res.r_acc, res.scale_acc, "acceleration"),
-        ]
-        for value, scale, label in checks:
-            if value > factor * (1.0 + scale):
-                return SuiteResult("dermoune-identities", False,
-                                   f"{label} residual {value} at t={t}")
+        failure = dermoune_identity_residuals(timeline, t).first_failure()
+        if failure is not None:
+            label, value = failure
+            return SuiteResult("dermoune-identities", False,
+                               f"{label} residual {value} at t={t}")
     return SuiteResult("dermoune-identities", True)
 
 

@@ -25,7 +25,7 @@ from stickygas.errors import (
     PreconditionViolated,
 )
 from stickygas.flow import _cluster_sums
-from stickygas.model import make_cluster
+from stickygas.model import interval_path, make_cluster
 from stickygas.tolerances import Tolerances
 from tests.conftest import lattice_instance, random_data
 
@@ -65,24 +65,24 @@ class TestValidate:
 class TestClusterAggregates:
     def test_singleton_is_the_particle(self, weighted_pair):
         t = 0.37
-        mass, theta, vel, pos = cluster_aggregates(weighted_pair, 1, 1, t)
-        assert mass == 3.0
-        assert theta == -1.0
-        assert vel == pytest.approx(0.0 + t * -1.0, rel=1e-15)
-        assert pos == pytest.approx(2.0 + 0.5 * t * t * -1.0, rel=1e-15)
+        cluster, path = make_cluster(weighted_pair, 1, 1)
+        assert cluster.mass == 3.0
+        assert cluster.acceleration == -1.0
+        assert path.derivative(t) == pytest.approx(0.0 + t * -1.0, rel=1e-15)
+        assert path(t) == pytest.approx(2.0 + 0.5 * t * t * -1.0, rel=1e-15)
 
     def test_weighted_pair_at_zero(self, weighted_pair):
         # frozen from the direct-summation oracle
-        assert cluster_aggregates(weighted_pair, 0, 1, 0.0) == (4.0, -0.5, 0.0, 1.5)
+        assert cluster_aggregates(weighted_pair, 0, 1) == (4.0, -0.5, 0.0, 1.5)
 
     def test_weighted_pair_at_sqrt2(self, weighted_pair):
-        _, _, vel, _ = cluster_aggregates(weighted_pair, 0, 1, math.sqrt(2))
+        vel = interval_path(weighted_pair, 0, 1).derivative(math.sqrt(2))
         # (1*sqrt2 + 3*(-sqrt2))/4 = -sqrt2/2
         assert vel == pytest.approx(-math.sqrt(2) / 2, rel=1e-15)
 
     def test_index_out_of_range(self, weighted_pair):
         with pytest.raises(IndexOutOfRange):
-            cluster_aggregates(weighted_pair, 0, 2, 0.0)
+            cluster_aggregates(weighted_pair, 0, 2)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -96,9 +96,11 @@ class TestClusterAggregates:
         t = data.draw(st.floats(0, 10))
         d = validate(xs, ms, vs, ths)
         k = data.draw(st.integers(0, n - 2))
-        m1, th1, v1, x1 = cluster_aggregates(d, 0, k, t)
-        m2, th2, v2, x2 = cluster_aggregates(d, k + 1, n - 1, t)
-        m, th, v, x = cluster_aggregates(d, 0, n - 1, t)
+        (c1, p1), (c2, p2), (c, p) = (
+            make_cluster(d, g, r) for g, r in ((0, k), (k + 1, n - 1), (0, n - 1)))
+        m1, th1, v1, x1 = c1.mass, c1.acceleration, p1.derivative(t), p1(t)
+        m2, th2, v2, x2 = c2.mass, c2.acceleration, p2.derivative(t), p2(t)
+        m, th, v, x = c.mass, c.acceleration, p.derivative(t), p(t)
         assert m1 + m2 == pytest.approx(m, rel=1e-13)
         for combined, whole in (((m1 * th1 + m2 * th2) / (m1 + m2), th),
                                 ((m1 * v1 + m2 * v2) / (m1 + m2), v),
@@ -107,8 +109,8 @@ class TestClusterAggregates:
 
 
 def numpy_scalar_aggregates(data, g, d, t):
-    """cluster_aggregates as it was written over numpy scalars, kept as the
-    reference for the Python-float sums."""
+    """cluster_aggregates as it was written over numpy scalars at time t, kept
+    as the reference for the Python-float sums at t = 0."""
     idx = range(g, d + 1)
     m, x, v, th = data.masses, data.positions, data.velocities, data.accelerations
 
@@ -164,21 +166,27 @@ def outcome(fn, *args):
 
 class TestPythonFloatSums:
     """The per-atom sums over InitialData.atoms give the floats of the same
-    sums over numpy scalars, bit for bit, without overflow warnings."""
+    sums over numpy scalars, bit for bit, without overflow warnings:
+    cluster_aggregates those of the t-dependent sums at t = 0 and -0.0,
+    flow._cluster_sums those at every time."""
 
     def test_aggregates_and_cluster_sums_are_bitwise_equal(self):
         checked = 0
         for data, times in sum_cases():
             timeline = simulate(data)
-            for t, g in ((t, g) for t in times for g in range(data.n)):
-                for d in range(g, data.n):
+            for g, d in ((g, d) for g in range(data.n) for d in range(g, data.n)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = outcome(cluster_aggregates, data, g, d)
+                    cluster, _ = make_cluster(data, g, d)
+                for t in (0.0, -0.0):
                     with np.errstate(all="ignore"):
-                        ref = outcome(numpy_scalar_aggregates, data, g, d, t)
+                        assert got == outcome(numpy_scalar_aggregates, data, g, d, t), (g, d, t)
+                for t in times:
+                    with np.errstate(all="ignore"):
                         ref_sums = outcome(numpy_scalar_cluster_sums, data, g, d, t)
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        assert outcome(cluster_aggregates, data, g, d, t) == ref, (g, d, t)
-                        cluster = make_cluster(data, g, d, t)
                         assert outcome(_cluster_sums, timeline, cluster, t) == ref_sums
                     checked += 1
         assert checked > 3000

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stickygas.dynamics as dynamics
+import stickygas.model as model
 from stickygas import (
     brute_force_partitions,
     next_collision,
@@ -24,8 +25,7 @@ def rescan_simulate(data, t_end=math.inf):
     """Reference event loop: every step re-solves all adjacent pairs through
     next_collision and rebuilds the partition from the grouped runs.  Keeps
     a snapshot (t_lo, t_hi, clusters, paths) of every segment."""
-    clusters = [make_cluster(data, j, j, 0.0) for j in range(data.n)]
-    paths = [interval_path(data, j, j) for j in range(data.n)]
+    clusters, paths = map(list, zip(*(make_cluster(data, j, j) for j in range(data.n))))
     events, segments = [], []
     t_now = 0.0
     while True:
@@ -38,16 +38,16 @@ def rescan_simulate(data, t_end=math.inf):
         groups = []
         for grp in reversed(pending.groups):
             g, d = clusters[grp[0]].left_index, clusters[grp[-1]].right_index
-            groups.append(([clusters[k].interval for k in grp],
-                           make_cluster(data, g, d, pending.time)))
-            clusters[grp[0] : grp[-1] + 1] = [groups[-1][1]]
-            paths = paths[: grp[0]] + [interval_path(data, g, d)] + paths[grp[-1] + 1 :]
+            merged, path = make_cluster(data, g, d)
+            groups.append(([clusters[k].interval for k in grp], merged, path))
+            clusters[grp[0] : grp[-1] + 1] = [merged]
+            paths = paths[: grp[0]] + [path] + paths[grp[-1] + 1 :]
         events.append((pending.time, groups[::-1]))
         t_now = t_star
 
 
 def engine_tables(timeline):
-    events = [(e.time, [(list(grp.members), grp.merged) for grp in e.groups])
+    events = [(e.time, [(list(grp.members), grp.merged, grp.path) for grp in e.groups])
               for e in timeline.events]
     segments = [(s.t_lo, s.t_hi, list(s.clusters), list(s.paths))
                 for s in map(timeline.segment, range(timeline.n_segments))]
@@ -67,9 +67,9 @@ class TestSimulate:
         assert len(tl.events) == 1
         e = tl.events[0]
         assert e.time == pytest.approx(1.0, abs=1e-12)
-        merged = e.groups[0].merged
-        assert merged.interval == (0, 1)
-        assert merged.velocity_at_formation == pytest.approx(0.5)
+        grp = e.groups[0]
+        assert grp.merged.interval == (0, 1)
+        assert grp.path.derivative(e.time) == pytest.approx(0.5)
         # path afterwards: 1 + 0.5 (t - 1)
         assert tl.positions_at(3.0)[0] == pytest.approx(2.0)
 
@@ -77,9 +77,9 @@ class TestSimulate:
         tl = simulate(weighted_pair)
         e = tl.events[0]
         assert e.time == pytest.approx(math.sqrt(2), rel=1e-14)
-        merged = e.groups[0].merged
-        assert merged.acceleration == pytest.approx(-0.5, abs=0)
-        assert merged.velocity_at_formation == pytest.approx(-math.sqrt(2) / 2, rel=1e-14)
+        grp = e.groups[0]
+        assert grp.merged.acceleration == pytest.approx(-0.5, abs=0)
+        assert grp.path.derivative(e.time) == pytest.approx(-math.sqrt(2) / 2, rel=1e-14)
 
     def test_single_particle_free_flight(self, single):
         tl = simulate(single)
@@ -159,6 +159,21 @@ class TestHeapScheduler:
         data = lattice_instance(3, 20)
         tl = simulate(data, t_end=0.7)
         assert engine_tables(tl) == rescan_simulate(data, 0.7)
+
+    def test_one_aggregate_sum_per_cluster(self, monkeypatch):
+        # the N singletons and one cluster per merge group, each summed once
+        calls = []
+        aggregates = model.cluster_aggregates
+        monkeypatch.setattr(model, "cluster_aggregates",
+                            lambda *a: calls.append(a) or aggregates(*a))
+        for data in (random_data(7000)[0], lattice_instance(7, 30), alternating_row(9)):
+            calls.clear()
+            tl = simulate(data)
+            groups = [grp.merged.interval for e in tl.events for grp in e.groups]
+            assert groups
+            assert len(calls) == data.n + len(groups)
+            assert sorted((g, d) for _, g, d in calls) == sorted(
+                [(j, j) for j in range(data.n)] + groups)
 
     def test_root_solves_only_for_new_pairs(self, monkeypatch):
         calls = []
@@ -346,7 +361,8 @@ def stepped_intervals(data, times, dt, tol=DEFAULT_TOL, chunk=4096):
     """Reference oracle: the full-stepping loop of brute_force_partitions
     without block skipping.  Every grid step is built and checked, the
     boundaries of each chunk come from np.unique, and every interval's row
-    is rebuilt after each merge round.  Returns the intervals at each time."""
+    is rebuilt after each merge round.  A requested 0 takes the initial
+    partition and is no step boundary.  Returns the intervals at each time."""
 
     def rows(intervals):
         return np.asarray([(p.c0, p.c1, p.c2)
@@ -376,6 +392,7 @@ def stepped_intervals(data, times, dt, tol=DEFAULT_TOL, chunk=4096):
 
     def step_bounds(sorted_times):
         req = np.unique(np.asarray(sorted_times))
+        req = req[req > 0.0]
         t_max = sorted_times[-1]
         n_grid = math.ceil((t_max + dt - dt) / dt)
         taken = 0
@@ -460,7 +477,7 @@ class TestOracleGrid:
     @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.1, 1.0 / 3.0, 7.3e-6])
     def test_streamed_bounds_equal_materialised_grid(self, monkeypatch, dt):
         # one ulp of 1e8 apart at rest: never certified and never merged, so
-        # every boundary is stepped, once and in order
+        # every boundary after 0 is stepped, once and in order
         data = validate([1e8, np.nextafter(1e8, np.inf)], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         stepped = []
         eval_positions = dynamics._eval_positions
@@ -475,11 +492,12 @@ class TestOracleGrid:
             times = sorted([t_max, 0.0, min(3 * dt, t_max), *rng.uniform(0.0, t_max, 3)])
             grid = np.arange(dt, t_max + dt, dt)
             expected = np.unique(np.concatenate([grid[grid <= t_max], times]))
+            expected = expected[expected > 0.0]
             for chunk in (7, 4096):
                 monkeypatch.setattr(dynamics, "_CHUNK", chunk)
                 stepped.clear()
                 assert brute_force_partitions(data, times, dt) == [((0, 0), (1, 1))] * len(times)
-                assert np.array_equal(np.concatenate(stepped), expected)
+                assert np.array_equal(np.concatenate([np.empty(0), *stepped]), expected)
 
     def test_partitions_independent_of_chunk(self, monkeypatch):
         for seed in range(6):
@@ -610,15 +628,17 @@ class TestOracleSkip:
         # 37.5 dt, which lies between the last grid step and t_max
         head_on = validate([0.0, 74.4 * dt], [1.0, 1.0], [1.0, -1.0], [0.0, 0.0])
         cases.append((head_on, [10 * dt, 37 * dt + dt / 2]))
-        # a pair within abs_tol at t = 0 that separates: a requested 0 is a
-        # step boundary, so it merges there, yet keeps the initial partition
+        # a pair within abs_tol at t = 0 that separates: a requested 0 takes
+        # the initial partition and is no step boundary, so the pair stays
+        # apart at 0.5 whether or not 0 was requested, as simulate has it
         touching = validate([0.0, 5e-10], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0])
         cases += [(touching, times) for times in ([0.0, 0.5], [0.5, -0.0], [0.5], [0.0])]
         cases = with_reference(cases, dt)
         singletons = ((0, 0), (1, 1))
         assert cases[2][2] == [singletons, ((0, 1),)]
         assert [expected for _, _, expected in cases[3:]] == [
-            [singletons, ((0, 1),)], [((0, 1),), singletons], [singletons], [singletons]]
+            [singletons, singletons], [singletons, singletons], [singletons], [singletons]]
+        assert simulate(touching).partition_at(0.5) == singletons
         return cases
 
     @pytest.mark.parametrize("chunk", SKIP_CHUNKS)

@@ -9,8 +9,9 @@ from stickygas import (
     right_derivative_check,
     simulate,
 )
+from stickygas import verify
 from stickygas.errors import UndefinedFieldPoint
-from stickygas.flow import cadlag_probes, conditioning_matches_partition
+from stickygas.flow import IdentityResiduals, cadlag_probes, conditioning_matches_partition
 from tests.conftest import random_data
 
 
@@ -33,6 +34,17 @@ class TestIdentities:
             assert res.r_pos <= 1e-12 * (1.0 + res.scale_pos)
             assert res.r_vel <= 1e-12 * (1.0 + res.scale_vel)
             assert res.r_acc <= 1e-12 * (1.0 + res.scale_acc)
+
+    def test_one_pass_rule_fails_nan(self, monkeypatch, head_on):
+        # r <= 1e-12 * (1 + scale) for the CLI and the fuzz suite alike
+        assert IdentityResiduals(2e-12, 0.0, 0.0, 1.0, 0.0, 0.0).first_failure() is None
+        above = IdentityResiduals(0.0, 0.0, math.nextafter(1e-12, 1.0), 0.0, 0.0, 0.0)
+        assert above.first_failure()[0] == "acceleration"
+        nan = IdentityResiduals(0.0, math.nan, 0.0, 0.0, 0.0, 0.0)
+        assert nan.first_failure()[0] == "velocity"
+        monkeypatch.setattr(verify, "dermoune_identity_residuals", lambda timeline, t: nan)
+        result = verify.dermoune_suite(simulate(head_on), np.random.default_rng(0))
+        assert not result.passed and result.detail.startswith("velocity residual nan")
 
 
 class TestRightDerivatives:

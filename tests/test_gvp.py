@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from stickygas import (
     GvpFunctional,
-    cluster_aggregates,
     clusters_from_gvp,
     gvp_equivalence_check,
     interior_condition,
@@ -15,6 +14,8 @@ from stickygas import (
 )
 from stickygas import gvp
 from stickygas.errors import InadmissibleData, IndexOutOfRange, SamplingExhausted
+from stickygas.flow import _cluster_sums
+from stickygas.model import make_cluster
 from stickygas.gvp import classical_clusters, endpoint_tie_indices
 from stickygas.verify import sample_times
 from tests.conftest import random_data, tiles
@@ -76,9 +77,10 @@ class TestClustersFromGvp:
             data, rng = random_data(seed + 4000)
             t = float(rng.uniform(0, 3))
             F = GvpFunctional(data, t)
+            timeline = simulate(data)
             for a in range(data.n):
                 for b in range(a, data.n):
-                    x_bar = cluster_aggregates(data, a, b, t)[3]
+                    x_bar = _cluster_sums(timeline, make_cluster(data, a, b)[0], t)[0]
                     assert F.interval_average(a, b) == pytest.approx(
                         x_bar, rel=1e-12, abs=1e-12)
 

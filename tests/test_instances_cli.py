@@ -464,6 +464,37 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+class TestEventRows:
+    """events.csv reads each merged cluster's velocity and position off its
+    path at the event time: the cells trajectory.csv prints for its left
+    member in the row of that time."""
+
+    def check(self, tmp_path, data):
+        path = tmp_path / "inst.json"
+        path.write_text(instance_document(data))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out), "--samples", "0"]) == 0
+        rows = {}
+        for line in (out / "trajectory.csv").read_text().splitlines()[1:]:
+            cells = line.split(",")
+            rows[cells[0]] = cells
+        events = (out / "events.csv").read_text().splitlines()[1:]
+        assert events
+        for line in events:
+            time, left, *_, velocity, position = line.split(",")
+            row = rows[time]
+            j = int(left)
+            assert (velocity, position) == (row[1 + data.n + j], row[1 + j]), line
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances(self, tmp_path, seed):
+        self.check(tmp_path, random_instance(np.random.default_rng(seed + 6100), 40))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lattice_pile_ups(self, tmp_path, seed):
+        self.check(tmp_path, lattice_instance(seed, 25))
+
+
 def test_cli_import_leaves_scipy_unloaded(instance_file, tmp_path):
     code = ("import sys, stickygas.cli\n"
             "before = 'scipy' in sys.modules\n"
