@@ -68,6 +68,9 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     _write_lines(path, header, (_format_row(row) + "\n" for row in rows))
 
 
+_ROW_BLOCK = 128  # trajectory.csv rows built and written per block
+
+
 def _trajectory_lines(timeline: ShockTimeline, ts: list[float]) -> Iterator[str]:
     """The trajectory.csv lines at the sorted times ts: t, then x, v and theta
     of every particle.
@@ -77,23 +80,35 @@ def _trajectory_lines(timeline: ShockTimeline, ts: list[float]) -> Iterator[str]
     and `sample_velocities` evaluate it), each value is formatted once and
     repeated over the members, and theta is formatted once per life.  Lives
     come in particle-index order, so appending every life's x cells, then v,
-    then theta builds each row in column order."""
+    then theta builds each row in column order.
+
+    Rows are built, joined and yielded _ROW_BLOCK at a time, each life clipped
+    to the block, so the writer holds O(_ROW_BLOCK * N) cells besides the
+    O(N) lives, whatever the number of rows."""
     tarr = np.asarray(ts, dtype=float)
     spans = timeline.life_rows(tarr)
-    rows = [["%.17g" % t] for t in ts]
-    for evaluate in (QuadraticPath.__call__, QuadraticPath.derivative):
-        for life, first, stop in spans:
-            values = evaluate(life.path, tarr[first:stop]).tolist()
-            # one format call for the life's values, split at the NULs
-            cells = ("\0,%.17g" * len(values) % tuple(values)).split("\0")[1:]
-            size = life.cluster.size
-            for row, cell in zip(rows[first:stop], cells):
-                row.append(cell * size)
-    for life, first, stop in spans:
-        cell = (",%.17g" % life.cluster.acceleration) * life.cluster.size
-        for row in rows[first:stop]:
-            row.append(cell)
-    return ("".join(row) + "\n" for row in rows)
+    thetas = [",%.17g" % life.cluster.acceleration for life, _, _ in spans]
+    for lo in range(0, len(ts), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, len(ts))
+        # the block's lives, in life order, with rows counted from lo
+        block = [(life, max(first, lo) - lo, min(stop, hi) - lo, theta)
+                 for (life, first, stop), theta in zip(spans, thetas)
+                 if first < hi and lo < stop]
+        times = tarr[lo:hi]
+        rows = [["%.17g" % t] for t in ts[lo:hi]]
+        for evaluate in (QuadraticPath.__call__, QuadraticPath.derivative):
+            for life, first, stop, _ in block:
+                values = evaluate(life.path, times[first:stop]).tolist()
+                # one format call for the life's values, split at the NULs
+                cells = ("\0,%.17g" * len(values) % tuple(values)).split("\0")[1:]
+                size = life.cluster.size
+                for row, cell in zip(rows[first:stop], cells):
+                    row.append(cell * size)
+        for life, first, stop, theta in block:
+            cell = theta * life.cluster.size
+            for row in rows[first:stop]:
+                row.append(cell)
+        yield from ("".join(row) + "\n" for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, instance: dict | None,

@@ -40,7 +40,6 @@ class GvpFunctional:
 
     data: InitialData
     t: float
-    include_acceleration: bool = True
     tol: Tolerances = field(default=DEFAULT_TOL)
 
     @cached_property
@@ -54,10 +53,7 @@ class GvpFunctional:
 
     def _avg(self, num_m, num_x, num_v, num_th):
         t = self.t
-        eta = num_x + t * num_v
-        if self.include_acceleration:
-            eta = eta + 0.5 * t * t * num_th
-        return eta / num_m
+        return (num_x + t * num_v + 0.5 * t * t * num_th) / num_m
 
     def interval_average(self, a: int, b: int) -> float:
         """Mass-weighted average of eta_t over indices [a, b]."""
@@ -266,7 +262,7 @@ def gvp_equivalence_check(
     entries = []
     for t in times:
         sim = timeline.partition_at(t)
-        F = GvpFunctional(data, t, True, tol)
+        F = GvpFunctional(data, t, tol)
         ties = tuple(endpoint_tie_indices(F))
         gvp = _certified_intervals(F)
         entries.append(GvpComparison(t, sim, gvp, gvp == sim, ties))

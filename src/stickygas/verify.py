@@ -28,6 +28,11 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 
 SAMPLE_ATTEMPTS_PER_TIME = 1000
+GVP_TIMES = 5            # sample times per gvp suite
+GVP_MIN_GAP = 1e-6       # least distance of a gvp sample time from any shock
+DERMOUNE_TIMES = 20      # identity times per dermoune suite, 0 included
+ORACLE_DT = 1e-5         # time step of the oracle suite
+ORACLE_TIMES = 5         # sample times per oracle suite
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,11 @@ def conservation_suite(
 def gvp_suite(
     timeline: ShockTimeline,
     rng: np.random.Generator,
-    n_times: int = 5,
-    min_gap: float = 1e-6,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SuiteResult:
-    """Variational partition equals the simulated one at sampled times."""
-    times = sample_times(timeline, rng, n_times, min_gap)
+    """Variational partition equals the simulated one at GVP_TIMES sampled
+    times, each at least GVP_MIN_GAP from every shock."""
+    times = sample_times(timeline, rng, GVP_TIMES, GVP_MIN_GAP)
     report = gvp_equivalence_check(timeline.initial, times, tol, timeline)
     if report.all_match:
         return SuiteResult("gvp-equivalence", True)
@@ -148,11 +152,11 @@ def gvp_suite(
 def dermoune_suite(
     timeline: ShockTimeline,
     rng: np.random.Generator,
-    n_times: int = 20,
 ) -> SuiteResult:
-    """Conditional-expectation identities hold to 1e-12 * (1 + scale)."""
+    """Conditional-expectation identities hold to 1e-12 * (1 + scale) at 0
+    and at DERMOUNE_TIMES - 1 uniform times."""
     hi = horizon_of(timeline)
-    times = [0.0] + [float(t) for t in rng.uniform(0.0, hi, n_times - 1)]
+    times = [0.0] + [float(t) for t in rng.uniform(0.0, hi, DERMOUNE_TIMES - 1)]
     for t in times:
         failure = dermoune_identity_residuals(timeline, t).first_failure()
         if failure is not None:
@@ -165,14 +169,13 @@ def dermoune_suite(
 def oracle_suite(
     timeline: ShockTimeline,
     rng: np.random.Generator,
-    dt: float = 1e-5,
-    n_times: int = 5,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SuiteResult:
-    """Event-driven partition equals the time-stepped oracle's at sampled
-    times kept more than 10*dt away from every shock."""
-    times = sample_times(timeline, rng, n_times, min_gap=10.0 * dt)
-    oracle = brute_force_partitions(timeline.initial, times, dt, tol)
+    """Event-driven partition equals the time-stepped oracle's (step
+    ORACLE_DT) at ORACLE_TIMES sampled times kept at least 10*ORACLE_DT away
+    from every shock."""
+    times = sample_times(timeline, rng, ORACLE_TIMES, min_gap=10.0 * ORACLE_DT)
+    oracle = brute_force_partitions(timeline.initial, times, ORACLE_DT, tol)
     for t, part in zip(times, oracle):
         engine = timeline.partition_at(t)
         if engine != part:

@@ -185,21 +185,25 @@ def _reference_ties(F):
     return ties
 
 
+def _without_acceleration(d):
+    return validate(d.positions, d.masses, d.velocities, np.zeros(d.n))
+
+
 def _random_cases():
     """Random instances as drawn, then with the accelerations sorted the
-    inadmissible way (increasing), each with and without acceleration."""
+    inadmissible way (increasing), each as given and with zero accelerations."""
     for seed in range(60):
         data, rng = random_data(seed + 21_000, n_max=30)
         rising = validate(data.positions, data.masses, data.velocities,
                           np.sort(data.accelerations))
         for d in (data, rising):
             t = float(rng.uniform(0, 4))
-            for acc in (True, False):
-                yield GvpFunctional(d, t, acc)
+            yield GvpFunctional(d, t)
+            yield GvpFunctional(_without_acceleration(d), t)
     d = validate(**CASE1)
     for t in (0.3, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2) + 0.5, 9.0):
-        for acc in (True, False):
-            yield GvpFunctional(d, t, acc)
+        yield GvpFunctional(d, t)
+        yield GvpFunctional(_without_acceleration(d), t)
 
 
 class TestSplitMargins:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stickygas
-from stickygas import simulate, validate
+from stickygas import cli, simulate, validate
 from stickygas.cli import _fmt, _write_csv, main
 from stickygas.errors import InstanceFormatError, NonPositiveMass
 from stickygas.instances import (
@@ -398,63 +398,83 @@ def t_end_cases(times) -> list:
     return [None, 0.5 * times[0], inside, times[-1] + 1.0]
 
 
-class TestTrajectoryWriter:
-    """The per-life trajectory.csv must equal the old per-particle matrix."""
+ROW_BLOCKS = [1, 7, cli._ROW_BLOCK]
 
-    def check(self, tmp_path, data):
+
+class TestTrajectoryWriter:
+    """The per-life trajectory.csv must equal the old per-particle matrix,
+    whatever the row block: a block of 1 or 7 rows splits most lives."""
+
+    def check(self, monkeypatch, tmp_path, data, samples_cases=(0, 1, 16)):
         path = tmp_path / "inst.json"
         path.write_text(instance_document(data))
         timeline = simulate(load_instance(path).data)
         out = tmp_path / "out"
         for t_end in t_end_cases(timeline.event_times):
-            for samples in (0, 1, 16):
+            for samples in samples_cases:
                 flags = ["--samples", str(samples)]
                 if t_end is not None:
                     flags += ["--t-end", repr(t_end)]
-                assert main(["simulate", str(path), "--out-dir", str(out), *flags]) == 0
-                used = json.loads((out / "manifest.json").read_text())["parameters"]["t_end"]
-                assert t_end is None or used == t_end
-                expected = old_trajectory_csv(timeline, used, samples)
-                assert (out / "trajectory.csv").read_bytes() == expected, (t_end, samples)
+                for block in ROW_BLOCKS:
+                    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+                    assert main(["simulate", str(path), "--out-dir", str(out), *flags]) == 0
+                    used = json.loads((out / "manifest.json").read_text())["parameters"]["t_end"]
+                    assert t_end is None or used == t_end
+                    expected = old_trajectory_csv(timeline, used, samples)
+                    assert (out / "trajectory.csv").read_bytes() == expected, (
+                        t_end, samples, block)
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_random_instances(self, tmp_path, seed):
+    def test_random_instances(self, monkeypatch, tmp_path, seed):
         rng = np.random.default_rng(seed + 6000)
-        self.check(tmp_path, random_instance(rng, 30, admissible=seed % 2 == 0))
+        self.check(monkeypatch, tmp_path, random_instance(rng, 30, admissible=seed % 2 == 0))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_lattice_pile_ups(self, tmp_path, seed):
+    def test_lattice_pile_ups(self, monkeypatch, tmp_path, seed):
         # integer data: exactly simultaneous merges, multi-member lives
-        self.check(tmp_path, lattice_instance(seed, 25))
+        self.check(monkeypatch, tmp_path, lattice_instance(seed, 25))
 
-    def test_coincident_paths(self, tmp_path):
+    def test_coincident_paths(self, monkeypatch, tmp_path):
         # paths coincide at t=0: the first segment has zero length
         touching = validate([0.0, 5e-10, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, -1.0],
                             [0.0, 0.0, 0.0])
         assert simulate(touching).bounds[:2] == (0.0, 0.0)
-        self.check(tmp_path, touching)
+        self.check(monkeypatch, tmp_path, touching)
 
-    def test_negative_zeros(self, tmp_path):
+    def test_negative_zeros(self, monkeypatch, tmp_path):
         data = validate([-0.0, 0.5, 1.0, 2.0], [1.0, 2.0, 1.0, 0.5], [-0.0, 0.0, -0.5, -0.0],
                         [-0.0, -0.0, -0.0, -1.0])
-        self.check(tmp_path, data)
+        self.check(monkeypatch, tmp_path, data)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_blocks_split_lives(self, monkeypatch, tmp_path, seed):
+        # more rows than two default blocks, so lives cross block ends at
+        # every block size
+        samples = 2 * cli._ROW_BLOCK + 3
+        data = random_instance(np.random.default_rng(seed + 6200), 12, n_min=12)
+        self.check(monkeypatch, tmp_path, data, samples_cases=(samples,))
 
     def test_memory_stays_below_the_matrix_writer(self, tmp_path):
-        # random family, N=200: the (rows x 3N+1) matrix writer peaked at
-        # 21.2 MB of traced allocations, the per-life writer at 7.1 MB, for a
-        # 4.5 MB trajectory.csv
+        # random family, N=200, traced allocations.  --samples 200: about 400
+        # rows, a 4.5 MB trajectory.csv; the (rows x 3N+1) matrix writer
+        # peaked at 21.2 MB, the per-life writer at 7.1 MB.  --samples 2000:
+        # about 2,200 rows, a 24.7 MB trajectory.csv; the per-life writer
+        # that built every row before the first line peaked at 31.7 MB.  The
+        # row-block writer peaks at 3.6 and 4.1 MB.
         data = random_instance(np.random.default_rng(0), 200, n_min=200)
         path = tmp_path / "inst.json"
         path.write_text(instance_document(data))
-        argv = ["simulate", str(path), "--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 0  # first call: caches and lazy imports
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2**20
+        for samples in (200, 2000):
+            argv = ["simulate", str(path), "--out-dir", str(tmp_path / "out"),
+                    "--samples", str(samples)]
+            assert main(argv) == 0  # first call: caches and lazy imports
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20, samples
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
