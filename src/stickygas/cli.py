@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -296,27 +299,66 @@ def cmd_dermoune(args) -> int:
     return OK if all_pass else VERIFICATION_FAILURE
 
 
+def _fuzz_instance(seed: int, n_max: int, with_oracle: bool,
+                   inject_failure: bool) -> tuple[list, str | None]:
+    """One fuzz instance: its fuzz_summary.csv row, and its reproduction
+    document when a suite fails (None when all pass)."""
+    rng = np.random.default_rng(seed)
+    data = random_instance(rng, n_max)
+    if inject_failure:
+        timeline = inject_velocity_fault(simulate(data))
+        results = [conservation_suite(timeline)]
+    else:
+        results = run_instance_suites(data, rng, with_oracle=with_oracle)
+    failed = [r for r in results if not r.passed]
+    row = [seed, data.n,
+           ";".join(r.name for r in results if r.passed),
+           ";".join(f"{r.name}:{r.detail}" for r in failed)]
+    return row, (instance_document(data, seed=seed) + "\n" if failed else None)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_FUZZ_CHUNK = 2  # instances handed to a fuzz worker at a time
+
+
+def _fuzz_pool(count: int):
+    """A pool of forked workers, one per usable CPU but at most `count`; a
+    context that gives None when there would be only one, so the instances
+    run in this process."""
+    workers = min(_usable_cpus(), count)
+    if workers == 1:
+        return nullcontext()
+    # imported here, as gas imports scipy, so no other command pays for it
+    import multiprocessing
+
+    # fork: a worker starts with numpy and stickygas already imported (spawn
+    # would import them again in each worker).  The pool forks its workers
+    # before it starts its own threads, and stickygas starts none.
+    return multiprocessing.get_context("fork").Pool(workers)
+
+
 def cmd_fuzz(args) -> int:
     out = _out_dir(args)
     rows = []
     failures = 0
-    for k in range(args.count):
-        rng = np.random.default_rng(args.seed + k)
-        data = random_instance(rng, args.n_max)
-        if args.inject_failure:
-            timeline = inject_velocity_fault(simulate(data))
-            results = [conservation_suite(timeline)]
-        else:
-            results = run_instance_suites(data, rng, with_oracle=args.with_oracle)
-        failed = [r for r in results if not r.passed]
-        if failed:
-            failures += 1
-            repro = out / f"failure_{args.seed + k}.json"
-            repro.write_text(instance_document(data, seed=args.seed + k) + "\n")
-        rows.append([args.seed + k, data.n,
-                     ";".join(r.name for r in results if r.passed),
-                     ";".join(f"{r.name}:{r.detail}" for r in failed)])
-    rows.sort(key=lambda r: r[0])
+    run = partial(_fuzz_instance, n_max=args.n_max, with_oracle=args.with_oracle,
+                  inject_failure=args.inject_failure)
+    seeds = range(args.seed, args.seed + args.count)
+    with _fuzz_pool(args.count) as pool:
+        # imap hands results back in seed order, so the outputs do not
+        # depend on the number of workers
+        results = map(run, seeds) if pool is None else pool.imap(run, seeds, _FUZZ_CHUNK)
+        for row, repro in results:
+            if repro is not None:
+                failures += 1
+                (out / f"failure_{row[0]}.json").write_text(repro)
+            rows.append(row)
     _write_csv(out / "fuzz_summary.csv", ["seed", "n", "passed", "failed"], rows)
     _write_manifest(out, "fuzz", None,
                     {"count": args.count, "n_max": args.n_max, "seed": args.seed,

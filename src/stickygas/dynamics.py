@@ -551,7 +551,7 @@ def brute_force_partitions(
         k1 = min(k0 + size, n_grid)
         t1 = t_max if k1 == n_grid else min(dt + (k1 - 1) * dt, t_max)
         certified = _no_merge_within(gaps, t0, t1, tol.abs_tol)
-        if certified is not None and certified.all():
+        if certified is not None and all(certified):
             size *= 2
         elif k1 - k0 > _CHUNK:
             size = max(_CHUNK, (k1 - k0) // 2)
@@ -588,42 +588,60 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[keep]
 
 
-def _gap_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _gap_rows(coeffs: np.ndarray) -> list[tuple[float, ...]] | None:
     """What the block-skip bound needs of one partition, per adjacent pair:
     the differences D_k of the coefficient rows, max(0, -D_2) and the sums
-    S_k of their magnitudes; None when a coefficient is too large to skip."""
-    size = np.abs(coeffs)
-    if not size.max() < _SKIP_MAX_COEFF:
+    S_k of their magnitudes, as (D_0, D_1, D_2, max(0, -D_2), S_0, S_1, S_2)
+    in Python floats; None when a coefficient is too large to skip."""
+    rows = coeffs.tolist()
+    if not all(abs(c) < _SKIP_MAX_COEFF for row in rows for c in row):
         return None
-    diff = (coeffs[1:] - coeffs[:-1]).T
-    return diff, np.maximum(0.0, -diff[2]), (size[1:] + size[:-1]).T
+    gaps = []
+    for (a0, a1, a2), (b0, b1, b2) in zip(rows, rows[1:]):
+        d2 = b2 - a2
+        gaps.append((b0 - a0, b1 - a1, d2, max(0.0, -d2),
+                     abs(b0) + abs(a0), abs(b1) + abs(a1), abs(b2) + abs(a2)))
+    return gaps
 
 
 def _no_merge_within(
-    gaps: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    gaps: list[tuple[float, ...]] | None,
     t0: float,
     t1: float,
     abs_tol: float,
-) -> np.ndarray | None:
+) -> list[bool] | None:
     """The certificate of brute_force_partitions, per adjacent pair: True
     where the pair's stepped difference at every boundary in [t0, t1] is
     above abs_tol.  None when the certificate clears no pair (coefficients
-    or t1 too large)."""
+    or t1 too large).
+
+    Each bound is the expression the proof bounds, in the same operations
+    and order, on Python floats, which round every operation in binary64 as
+    numpy's float64 arrays do; max(0.0, x) stands for np.maximum(0.0, x).
+    So the verdicts are those of the same expressions over arrays:
+    - the two maxima can differ only in the sign of a zero, and a zero's
+      sign cannot flip `> abs_tol`;
+    - they also differ on a NaN, and no NaN can occur: the inputs are
+      finite, the coefficients are below 2^500 and t1 is below 2^250, so
+      every intermediate stays below 2^1002."""
     if gaps is None or t1 >= _SKIP_MAX_TIME:
         return None
-    (d0, d1, d2), curvature, (s0, s1, s2) = gaps
-    gap = d0 + t0 * (d1 + 0.5 * t0 * d2)
-    slope = d1 + t0 * d2
-    width = s0 + t1 * (s1 + 0.5 * t1 * s2)
     h = t1 - t0
-    allowance = _SKIP_ROUNDING * (width + abs(abs_tol)) + _SKIP_UNDERFLOW * (1.0 + t1)
-    bound = (gap - np.maximum(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
-    return bound > abs_tol
+    underflow = _SKIP_UNDERFLOW * (1.0 + t1)
+    verdicts = []
+    for d0, d1, d2, curvature, s0, s1, s2 in gaps:
+        gap = d0 + t0 * (d1 + 0.5 * t0 * d2)
+        slope = d1 + t0 * d2
+        width = s0 + t1 * (s1 + 0.5 * t1 * s2)
+        allowance = _SKIP_ROUNDING * (width + abs(abs_tol)) + underflow
+        bound = (gap - max(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
+        verdicts.append(bound > abs_tol)
+    return verdicts
 
 
 def _first_merge_column(
     coeffs: np.ndarray,
-    certified: np.ndarray | None,
+    certified: list[bool] | None,
     ts: np.ndarray,
     abs_tol: float,
 ) -> int | None:
@@ -634,7 +652,7 @@ def _first_merge_column(
     if certified is None:
         pairs = np.arange(len(coeffs) - 1)
     else:
-        pairs = np.flatnonzero(~certified)
+        pairs = np.flatnonzero(np.logical_not(certified))
     stepped = np.zeros(len(coeffs), dtype=bool)
     stepped[pairs] = True
     stepped[pairs + 1] = True

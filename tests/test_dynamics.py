@@ -718,6 +718,92 @@ class TestOracleSteppedWork:
         assert calls and all(rows <= 2 for rows, _ in calls)
 
 
+def numpy_certificate(coeffs, t0, t1, abs_tol):
+    """_gap_rows and _no_merge_within as they were written over numpy arrays,
+    kept as the reference for the certificate on Python floats."""
+    size = np.abs(coeffs)
+    if not size.max() < dynamics._SKIP_MAX_COEFF or t1 >= dynamics._SKIP_MAX_TIME:
+        return None
+    diff = (coeffs[1:] - coeffs[:-1]).T
+    (d0, d1, d2), curvature, (s0, s1, s2) = (
+        diff, np.maximum(0.0, -diff[2]), (size[1:] + size[:-1]).T)
+    gap = d0 + t0 * (d1 + 0.5 * t0 * d2)
+    slope = d1 + t0 * d2
+    width = s0 + t1 * (s1 + 0.5 * t1 * s2)
+    h = t1 - t0
+    allowance = (dynamics._SKIP_ROUNDING * (width + abs(abs_tol))
+                 + dynamics._SKIP_UNDERFLOW * (1.0 + t1))
+    bound = (gap - np.maximum(0.0, -slope) * h - curvature * h * h * 0.5) - allowance
+    return (bound > abs_tol).tolist()
+
+
+def partition_rows(data):
+    """Coefficient rows of every partition the engine passes through."""
+    timeline = simulate(data)
+    return [dynamics._interval_coeffs(data, list(timeline.partition_at(t)))
+            for t in (0.0, *timeline.event_times)]
+
+
+class TestCertificateOnFloats:
+    """The certificate on Python floats gives, pair by pair, the verdicts of
+    the same expressions over numpy arrays."""
+
+    def verdicts(self, coeffs, windows):
+        gaps = dynamics._gap_rows(coeffs)
+        found = []
+        for t0, t1 in windows:
+            for abs_tol in (DEFAULT_TOL.abs_tol, 0.0):
+                got = dynamics._no_merge_within(gaps, t0, t1, abs_tol)
+                assert got == numpy_certificate(coeffs, t0, t1, abs_tol), (t0, t1, abs_tol)
+                found += got
+        return found
+
+    @staticmethod
+    def windows(rng, horizon):
+        ends = [0.0, *rng.uniform(0.0, 2.0 * horizon, 8)]
+        return [(min(a, b), max(a, b)) for a, b in zip(ends, reversed(ends))] + [
+            (t, t) for t in ends[:3]]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_gap_rows(self, seed):
+        data, rng = random_data(seed + 31_000)
+        for coeffs in partition_rows(data):
+            if len(coeffs) > 1:
+                self.verdicts(coeffs, self.windows(rng, dynamics.horizon_of(simulate(data))))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lattice_gap_rows(self, seed):
+        # integer rows: many differences are exact zeros of either sign
+        data = lattice_instance(seed + 31_100, 9)
+        rng = np.random.default_rng(seed)
+        found = []
+        for coeffs in partition_rows(data):
+            if len(coeffs) > 1:
+                found += self.verdicts(coeffs, self.windows(rng, 3.0))
+        assert found
+
+    def test_near_tangent_gap_rows(self):
+        abs_tol = DEFAULT_TOL.abs_tol
+        found = []
+        for t_min in (0.5, 3.0, 40.0):
+            for gap in [abs_tol * (1.0 + 10.0**-k) for k in range(1, 9)] + [abs_tol]:
+                coeffs = dynamics._interval_coeffs(grazing_pair(gap, t_min), [(0, 0), (1, 1)])
+                windows = [(t_min, t_min), (0.0, t_min), (t_min, 2.0 * t_min)]
+                windows += [(t_min - j * 1e-5, t_min + j * 1e-5) for j in (1, 10, 1000)]
+                found += self.verdicts(coeffs, windows)
+        # the cases reach both verdicts
+        assert set(found) == {True, False}
+
+    def test_too_large_to_certify(self):
+        coeffs = np.asarray([[0.0, 1.0, 0.0], [2.0**500, -1.0, 0.0]])
+        assert dynamics._gap_rows(coeffs) is None
+        assert numpy_certificate(coeffs, 0.0, 1.0, 1e-9) is None
+        coeffs = np.asarray([[0.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+        gaps = dynamics._gap_rows(coeffs)
+        assert dynamics._no_merge_within(gaps, 0.0, 2.0**250, 1e-9) is None
+        assert dynamics._no_merge_within(gaps, 0.0, 2.0**249, 1e-9) == [False]
+
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(30))
     def test_conservation_and_ordering(self, seed):

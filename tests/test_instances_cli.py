@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import stickygas
 from stickygas import cli, simulate, validate
 from stickygas.cli import _fmt, _write_csv, main
-from stickygas.errors import InstanceFormatError, NonPositiveMass
+from stickygas.errors import InstanceFormatError, NonPositiveMass, SamplingExhausted
 from stickygas.instances import (
     instance_document,
     load_instance,
@@ -516,25 +517,105 @@ class TestEventRows:
 
 
 def test_cli_import_leaves_scipy_unloaded(instance_file, tmp_path):
+    # multiprocessing is imported by fuzz alone, when it starts workers
     code = ("import sys, stickygas.cli\n"
-            "before = 'scipy' in sys.modules\n"
+            "before = [name in sys.modules for name in ('scipy', 'multiprocessing')]\n"
             f"rc = stickygas.cli.main(['gas', {str(instance_file)!r}, '--window', '0.5:1.5',"
             f" '--out-dir', {str(tmp_path / 'out')!r}])\n"
-            "print(before, rc, 'scipy' in sys.modules)")
+            "print(*before, rc, *[name in sys.modules for name in ('scipy', 'multiprocessing')])")
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False 0 False"
+    assert result.stdout.strip() == "False False 0 False False"
 
 
 def test_fuzz_with_oracle_leaves_numpy_ma_unloaded(tmp_path):
-    code = ("import sys\n"
-            "from stickygas.cli import main\n"
+    # checked in the parent and in each worker process, after its oracle runs
+    log = tmp_path / "workers.log"
+    code = ("import os, sys\n"
+            "from stickygas import cli\n"
+            "suites = cli.run_instance_suites\n"
+            "def logged(*args, **kwargs):\n"
+            "    results = suites(*args, **kwargs)\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        print(os.getpid(), results[-1].name, 'numpy.ma' in sys.modules, file=fh)\n"
+            "    return results\n"
+            "cli.run_instance_suites = logged\n"
+            "cli._usable_cpus = lambda: 2\n"
             "before = 'numpy.ma' in sys.modules\n"
-            f"rc = main(['fuzz', '--count', '3', '--with-oracle', '--out-dir', {str(tmp_path)!r}])\n"
-            "print(before, rc, 'numpy.ma' in sys.modules)")
+            "rc = cli.main(['fuzz', '--count', '3', '--with-oracle', '--out-dir',"
+            f" {str(tmp_path / 'out')!r}])\n"
+            "print(os.getpid(), before, rc, 'numpy.ma' in sys.modules)")
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "False 0 False"
+    parent, *verdict = result.stdout.strip().splitlines()[-1].split()
+    assert verdict == ["False", "0", "False"]
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert len(lines) == 3
+    assert all(pid != parent and rest == ["oracle-equivalence", "False"]
+               for pid, *rest in lines)
+
+
+class TestFuzzWorkers:
+    """fuzz shares its instances out over forked worker processes.  Whatever
+    their number, it writes the bytes of the in-process run, reports an error
+    raised inside an instance as it does in process, and leaves no process
+    behind."""
+
+    BATCHES = {
+        "oracle": ["--count", "9", "--seed", "11", "--n-max", "8", "--with-oracle"],
+        "injected": ["--count", "7", "--seed", "11", "--n-max", "8", "--inject-failure"],
+    }
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, workers, argv):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        code = main(["fuzz", *argv, "--out-dir", str(out)])
+        assert multiprocessing.active_children() == []
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.fixture(scope="class")
+    def in_process(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as mp:
+            # one CPU: no pool is made
+            mp.setattr(multiprocessing, "get_context", None)
+            return {name: self.run(mp, tmp_path_factory.mktemp(name), 1, argv)
+                    for name, argv in self.BATCHES.items()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_outputs_equal_the_in_process_run(self, monkeypatch, tmp_path, in_process,
+                                              workers, batch):
+        got = self.run(monkeypatch, tmp_path, workers, self.BATCHES[batch])
+        assert got == in_process[batch]
+
+    def test_the_batches_pass_and_fail(self, in_process):
+        code, files = in_process["oracle"]
+        assert code == 0 and "oracle-equivalence" in files["fuzz_summary.csv"].decode()
+        code, files = in_process["injected"]
+        assert code == 1 and sum(name.startswith("failure_") for name in files) >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_error_inside_an_instance(self, monkeypatch, tmp_path, capsys, workers):
+        suites = cli.run_instance_suites
+
+        def failing(data, rng, **kwargs):
+            if data.n == 5:
+                raise SamplingExhausted("no admissible sample time")
+            return suites(data, rng, **kwargs)
+
+        monkeypatch.setattr(cli, "run_instance_suites", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        assert main(["fuzz", "--count", "12", "--seed", "11", "--n-max", "8",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "SamplingExhausted: no admissible sample time" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_per_instance_at_most(self, monkeypatch, tmp_path):
+        # four CPUs but one instance: no pool is made
+        monkeypatch.setattr(multiprocessing, "get_context", None)
+        code, files = self.run(monkeypatch, tmp_path, 4, ["--count", "1", "--n-max", "3"])
+        assert code == 0 and len(files["fuzz_summary.csv"].splitlines()) == 2
 
 
 def test_gas_runs_without_scipy(tmp_path):
