@@ -207,11 +207,10 @@ def cmd_gvp(args) -> int:
             "MATCH" if e.match else "MISMATCH",
             _intervals_str(e.simulated),
             _intervals_str(e.reconstructed),
-            "",
             ";".join(str(i) for i in e.ties),
         ])
     _write_csv(out / "gvp_report.csv",
-               ["time", "verdict", "simulated", "reconstructed", "error", "tie_indices"],
+               ["time", "verdict", "simulated", "reconstructed", "tie_indices"],
                rows)
     _write_manifest(out, "gvp", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"times": args.times, "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},

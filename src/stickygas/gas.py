@@ -12,35 +12,37 @@ signed jump measures collected at the shock times inside the window enter
 the right-hand side; residuals are reported with and without them.
 
 One kernel serves both systems.  Its state Y is the position X (rate V,
-forcing Gamma) or the velocity V (rate Gamma, no forcing), and every term
-is a mass-weighted sum over the clusters of one segment: the endpoint terms
-E[f(Y)] and E[f(Y) rate], their jumps across shocks (the segment at the
-shock minus the one before it), and the time integrals of E[f'(Y) rate],
-E[f'(Y) rate^2] and E[f(Y) Gamma].  Inside these expectations the
-conditioning on the velocity collapses (tower property), so the residuals
-never group clusters by velocity; the grouping (VelocityFields) is kept for
-what needs the conditional variance: jump measures, congestion samples and
-the initial-limit and continuity checks.
+forcing Gamma) or the velocity V (rate Gamma, no forcing).  The endpoint
+terms E[f(Y)] and E[f(Y) rate] are mass-weighted sums over the clusters at
+t1 and at t2.  Every other term is a sum over the at most 2N-1 lives of the
+merge tree, each on one quadratic path (E, Rykov & Sinai 1996; Brenier &
+Grenier 1998): a jump adds the lives born at a shock in (t1, t2] and
+subtracts those that end there, and E[f'(Y) rate], E[f'(Y) rate^2] and
+E[f(Y) Gamma] are integrated over each life's span inside [t1, t2].  Inside
+these expectations the conditioning on the velocity collapses (tower
+property), so the residuals never group clusters by velocity; the grouping
+(VelocityFields) is kept for what needs the conditional variance: jump
+measures, congestion samples and the initial-limit and continuity checks.
 
-Time integrals run segment-wise between shocks, split again wherever some Y
-crosses a knot of the test function.  On each piece every integrand is a
-polynomial in t (degree <= 12 for the built-in test functions), so a fixed
-8-node Gauss-Legendre rule, exact to degree 15, gives the integral up to
-rounding.  The reported `quad_error` is the sum over pieces of |G8 - G7|,
-the gap to the 7-node rule (exact to degree 13): rounding-level for the
-built-in test functions, a real error estimate for a test function that is
-not piecewise polynomial (see TestFunction).
+A life's span is split only where its own Y crosses a knot of the test
+function.  On each piece every integrand is a polynomial in t (degree <= 12
+for the built-in test functions), so a fixed 8-node Gauss-Legendre rule,
+exact to degree 15, gives the integral up to rounding; all pieces of all
+lives go through it in one pass.  The reported `quad_error` is the sum over
+pieces of |G8 - G7|, the gap to the 7-node rule (exact to degree 13):
+rounding-level for the built-in test functions, a real error estimate for a
+test function that is not piecewise polynomial (see TestFunction).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Segment, ShockTimeline, horizon_of
+from .dynamics import ShockTimeline, horizon_of
 from .errors import WindowOutOfRange
 from .measures import DiscreteMeasure
 from .model import InitialData
@@ -94,12 +96,14 @@ def _check_window(timeline: ShockTimeline, t1: float, t2: float) -> None:
 
 
 def _knot_crossings(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-                    knots: Sequence[float], a: float, b: float) -> list[float]:
-    """Sorted distinct times in (a, b) at which some path
-    c0 + c1 t + c2 t^2 / 2 (one per array entry) crosses a knot: both roots
+                    knots: Sequence[float], lo, hi) -> np.ndarray:
+    """Times at which each path c0 + c1 t + c2 t^2 / 2 crosses a knot inside
+    its own span (lo, hi), one row per path (lo and hi are one value per
+    path, or one for all), nan where a knot gives no such time: both roots
     of a quadratic with positive discriminant, the root of an affine path,
     nothing for a constant one."""
     c0, c1, c2 = (np.asarray(c, dtype=float)[:, None] for c in (c0, c1, c2))
+    lo, hi = (np.asarray(x, dtype=float).reshape(-1, 1) for x in (lo, hi))
     knots = np.asarray(knots, dtype=float)  # rows are paths, columns knots
     with np.errstate(all="ignore"):
         disc = c1 * c1 - 2.0 * c2 * (c0 - knots)
@@ -107,52 +111,47 @@ def _knot_crossings(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
         quadratic = (c2 != 0.0) & (disc > 0.0)
         affine = (c2 == 0.0) & (c1 != 0.0)
         # nan marks no root and drops out of the comparisons below
-        roots = np.concatenate([np.where(quadratic, (-c1 - sq) / c2, np.nan).ravel(),
-                                np.where(quadratic, (-c1 + sq) / c2, np.nan).ravel(),
-                                np.where(affine, (knots - c0) / c1, np.nan).ravel()])
-    # sorted(set()): np.unique imports numpy.ma (numpy 2.4), 0.7 MB more peak
-    # RSS for a small gas command
-    return sorted(set(roots[(a < roots) & (roots < b)].tolist()))
+        roots = np.hstack([np.where(quadratic, (-c1 - sq) / c2, np.nan),
+                           np.where(quadratic, (-c1 + sq) / c2, np.nan),
+                           np.where(affine, (knots - c0) / c1, np.nan)])
+    return np.where((lo < roots) & (roots < hi), roots, np.nan)
 
 
-def _gauss_legendre(
-    integrand: Callable[[np.ndarray], Sequence[np.ndarray]], pieces: np.ndarray
-) -> list[tuple[float, float]]:
-    """Integrals over consecutive `pieces` (increasing break points) by the
-    8-node rule, each with the summed |G8 - G7| gap to the 7-node rule.  The
-    integrand maps a 1-D array of times, all nodes of all pieces, to one
-    array of values per integral."""
-    x8, w8 = _gauss_legendre_rule(8)
-    x7, w7 = _gauss_legendre_rule(7)
-    half = 0.5 * np.diff(pieces)
-    mid = 0.5 * (pieces[:-1] + pieces[1:])
-    t = mid[:, None] + half[:, None] * np.concatenate([x8, x7])
-    out = []
-    for vals in integrand(t.ravel()):
-        vals = vals.reshape(t.shape)
-        g8 = half * (vals[:, :8] @ w8)
-        g7 = half * (vals[:, 8:] @ w7)
-        out.append((float(g8.sum()), float(np.abs(g8 - g7).sum())))
-    return out
+def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nodes of the 8-node rule, then of the 7-node rule, on each piece
+    [a[i], b[i]]: one row of 15 times per piece."""
+    nodes = np.concatenate([_gauss_legendre_rule(8)[0], _gauss_legendre_rule(7)[0]])
+    return 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes
+
+
+def _gauss_legendre(a: np.ndarray, b: np.ndarray,
+                    values: Sequence[np.ndarray]) -> list[tuple[float, float]]:
+    """Integrals over the pieces [a[i], b[i]] of functions given by their
+    values at `_gauss_nodes(a, b)`: per function, the summed 8-node rule
+    and the summed |G8 - G7| gap to the 7-node rule."""
+    w8, w7 = _gauss_legendre_rule(8)[1], _gauss_legendre_rule(7)[1]
+    half = 0.5 * (b - a)
+    g = [(half * (vals[:, :8] @ w8), half * (vals[:, 8:] @ w7)) for vals in values]
+    return [(float(g8.sum()), float(np.abs(g8 - g7).sum())) for g8, g7 in g]
 
 
 # ---------------------------------------------------------------------------
 # One kernel for both systems (see the module docstring)
 
 
-def _state(seg: Segment, t, velocity: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Y and its rate dY/dt per cluster at time t (a column of times gives
-    one row per time)."""
+def _state(t, theta, c0, c1, c2, velocity: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Y and its rate dY/dt at times t on the paths of clusters with
+    acceleration theta (t broadcasts against the coefficients)."""
     if velocity:
-        return seg.c1 + t * seg.c2, seg.theta
-    return seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2), seg.c1 + t * seg.c2
+        return c1 + t * c2, theta
+    return c0 + t * (c1 + 0.5 * t * c2), c1 + t * c2
 
 
-def _moments(timeline: ShockTimeline, seg: Segment, f: TestFunction, t: float,
+def _moments(f: TestFunction, t, wgt, theta, c0, c1, c2,
              velocity: bool) -> tuple[float, float]:
-    """E[f(Y)] and E[f(Y) rate] at time t over the clusters of `seg`."""
-    wgt = seg.mass / timeline.total_mass
-    y, rate = _state(seg, t, velocity)
+    """Sums of wgt f(Y) and wgt f(Y) rate over clusters, at time t (one for
+    all or one per cluster)."""
+    y, rate = _state(t, theta, c0, c1, c2, velocity)
     fy = f(y)
     return float(wgt @ fy), float(wgt @ (fy * rate))
 
@@ -165,45 +164,46 @@ def _weak_form(
     E[f'(Y) rate^2] and, in position space, E[f(Y) Gamma] over [t1, t2].
 
     Positions are continuous through shocks and momentum is conserved, so the
-    position-space jumps vanish and are not summed.  Time integrals run
-    segment-wise between shocks, split where some Y crosses a knot of f."""
+    position-space jumps vanish and are not summed."""
     _check_window(timeline, t1, t2)
-    at2 = _moments(timeline, timeline.segment_at(t2), f, t2, velocity)
-    at1 = _moments(timeline, timeline.segment_at(t1), f, t1, velocity)
+    M = timeline.total_mass
+    seg2, seg1 = timeline.segment_at(t2), timeline.segment_at(t1)
+    at2 = _moments(f, t2, seg2.mass / M, *seg2[5:], velocity)  # theta, c0, c1, c2
+    at1 = _moments(f, t1, seg1.mass / M, *seg1[5:], velocity)
     lhs = (at2[0] - at1[0], at2[1] - at1[1])
-    j_mass = j_momentum = 0.0
+
+    first, last, _, mass, *path = timeline.columns  # path: theta, c0, c1, c2
+    wgt = mass / M
+    bounds = np.asarray(timeline.bounds)
+    born, ends = bounds[first], bounds[last + 1]
+    jumps = (0.0, 0.0)
     if velocity:
-        for s in timeline.event_times:
-            if t1 < s <= t2:
-                right = _moments(timeline, timeline.segment_at(s), f, s, velocity)
-                left = _moments(timeline, timeline.segment_before(s), f, s, velocity)
-                j_mass += right[0] - left[0]
-                j_momentum += right[1] - left[1]
+        # t1 > 0, so no life born at time 0 counts; a life alive at t_end
+        # ends at no shock
+        births = (t1 < born) & (born <= t2)
+        deaths = (last < timeline.n_segments - 1) & (t1 < ends) & (ends <= t2)
+        rows = np.concatenate([births.nonzero()[0], deaths.nonzero()[0]])
+        jumps = _moments(f, np.concatenate([born[births], ends[deaths]]),
+                         np.concatenate([wgt[births], -wgt[deaths]]),
+                         *(c[rows] for c in path), velocity)
 
-    n = 2 if velocity else 3
-    totals, errors = [0.0] * n, [0.0] * n
-    cuts = [t1] + [s for s in timeline.event_times if t1 < s < t2] + [t2]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        seg = timeline.segment_at(a)
-        wgt = seg.mass / timeline.total_mass
-        path = (seg.c1, seg.c2, np.zeros_like(seg.c2)) if velocity else (seg.c0, seg.c1, seg.c2)
-        pieces = np.array([a, *_knot_crossings(*path, f.knots, a, b), b])
-
-        def integrand(t: np.ndarray) -> list[np.ndarray]:
-            # rows are times, columns clusters
-            y, rate = _state(seg, t[:, None], velocity)
-            flux = f.prime(y) * rate
-            out = [flux @ wgt, (flux * rate) @ wgt]
-            if not velocity:
-                out.append((f(y) * seg.theta) @ wgt)
-            return out
-
-        for k, (val, err) in enumerate(_gauss_legendre(integrand, pieces)):
-            totals[k] += val
-            errors[k] += err
-    return lhs, (j_mass, j_momentum), list(zip(totals, errors))
+    # each life's span inside [t1, t2] (empty outside it), cut at its own
+    # crossings; nan sorts last and empty pieces drop out
+    lo = np.maximum(born, t1)
+    hi = np.maximum(np.minimum(ends, t2), lo)
+    theta, c0, c1, c2 = path
+    crossings = _knot_crossings(*((c1, c2, np.zeros_like(c2)) if velocity else (c0, c1, c2)),
+                                f.knots, lo, hi)
+    cuts = np.sort(np.column_stack([lo, crossings, hi]), axis=1)
+    rows, cols = (cuts[:, 1:] > cuts[:, :-1]).nonzero()
+    a, b = cuts[rows, cols], cuts[rows, cols + 1]
+    theta, c0, c1, c2, w = (c[rows, None] for c in (theta, c0, c1, c2, wgt))
+    y, rate = _state(_gauss_nodes(a, b), theta, c0, c1, c2, velocity)
+    flux = f.prime(y) * rate
+    values = [w * flux, w * (flux * rate)]
+    if not velocity:
+        values.append(w * (f(y) * theta))
+    return lhs, jumps, _gauss_legendre(a, b, values)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +236,11 @@ class VelocityFields:
     """Velocity law and conditional fields at one time.
 
     Atom-aligned tuples: w[i] is the conditional mean acceleration at
-    mu.atoms[i], a[i] the conditional variance; the left-limit law carries
-    its own aligned w_left."""
+    mu.atoms[i], a[i] the conditional variance."""
 
     t: float
     mu: DiscreteMeasure
-    mu_left: DiscreteMeasure
     w: tuple[float, ...]
-    w_left: tuple[float, ...]
     a: tuple[float, ...]
 
     def _lookup(self, v: float, tol: Tolerances) -> int:
@@ -289,14 +286,12 @@ def _group_velocity_atoms(
 def velocity_space_fields(
     timeline: ShockTimeline, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> VelocityFields:
-    """Law of the velocity process at t with its left limit and the
+    """Law of the velocity process at t (right-continuous) with the
     conditional mean / variance of the cluster acceleration given velocity."""
-    M = timeline.total_mass
     seg = timeline.segment_at(t)
-    mu, w, a = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / M, seg.theta, tol)
-    seg = timeline.segment_before(t)
-    mu_left, w_left, _ = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / M, seg.theta, tol)
-    return VelocityFields(t, mu, mu_left, w, w_left, a)
+    mu, w, a = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / timeline.total_mass,
+                                     seg.theta, tol)
+    return VelocityFields(t, mu, w, a)
 
 
 def velocity_space_residuals(
@@ -322,8 +317,10 @@ def velocity_space_residuals(
 
 def jump_measure(timeline: ShockTimeline, s: float, tol: Tolerances = DEFAULT_TOL) -> DiscreteMeasure:
     """Signed measure mu(., s+) - mu(., s-) at one shock time."""
-    fl = velocity_space_fields(timeline, s, tol)
-    return fl.mu.minus(fl.mu_left, tol)
+    seg = timeline.segment_before(s)
+    left, _, _ = _group_velocity_atoms(seg.c1 + s * seg.c2, seg.mass / timeline.total_mass,
+                                       seg.theta, tol)
+    return velocity_space_fields(timeline, s, tol).mu.minus(left, tol)
 
 
 def force_jump_total(timeline: ShockTimeline, s: float) -> float:

@@ -15,6 +15,7 @@ from stickygas.errors import WindowOutOfRange
 from stickygas.gas import (
     _gauss_legendre,
     _gauss_legendre_rule,
+    _gauss_nodes,
     _group_velocity_atoms,
     _knot_crossings,
     congestion_onset_delay,
@@ -34,7 +35,7 @@ from stickygas.testfunctions import (
     cubic_bspline,
     finite_difference_mismatch,
 )
-from stickygas.tolerances import Tolerances
+from stickygas.tolerances import DEFAULT_TOL, Tolerances
 from tests.conftest import lattice_instance, random_data
 
 
@@ -51,6 +52,12 @@ def plateau(lo: float, hi: float, ramp: float) -> TestFunction:
         return (f(np.asarray(x) + h) - f(np.asarray(x) - h)) / (2 * h)
 
     return TestFunction("plateau", f, df, (lo - ramp, hi + ramp), (lo - ramp, lo, hi, hi + ramp))
+
+
+def _crossing_union(c0, c1, c2, knots, a, b):
+    """Sorted distinct knot crossings in (a, b) of all the paths together."""
+    found = _knot_crossings(c0, c1, c2, knots, a, b)
+    return sorted(set(found[~np.isnan(found)].tolist()))
 
 
 def _adaptive_integral(tl, t1, t2, make_integrand, kinks):
@@ -89,7 +96,7 @@ def _adaptive_position_reference(tl, f, t1, t2):
         return make_integrand
 
     def kinks(seg, a, b):
-        return _knot_crossings(seg.c0, seg.c1, seg.c2, f.knots, a, b)
+        return _crossing_union(seg.c0, seg.c1, seg.c2, f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(kind), kinks)
                  for kind in ("mass", "momentum", "source"))
@@ -106,16 +113,18 @@ def _adaptive_velocity_reference(tl, f, t1, t2):
         return make_integrand
 
     def kinks(seg, a, b):
-        return _knot_crossings(seg.c1, seg.c2, np.zeros_like(seg.c2), f.knots, a, b)
+        return _crossing_union(seg.c1, seg.c2, np.zeros_like(seg.c2), f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(p), kinks) for p in (1, 2))
 
 
-def _position_kinks_loop(paths, knots, a, b):
-    """Per-path loop over (c0, c1, c2) position paths that the vectorised
-    knot-crossing search must reproduce bit for bit."""
+def _position_kinks_loop(paths, knots, los, his):
+    """Per-path loop over (c0, c1, c2) position paths, each inside its own
+    span (lo, hi), that the vectorised knot-crossing search must reproduce
+    bit for bit: one sorted list of distinct crossings per path."""
     out = []
-    for c0, c1, c2 in paths:
+    for (c0, c1, c2), a, b in zip(paths, los, his):
+        found = []
         for knot in knots:
             if c2 != 0.0:
                 disc = c1 * c1 - 2.0 * c2 * (c0 - knot)
@@ -124,25 +133,36 @@ def _position_kinks_loop(paths, knots, a, b):
                 sq = math.sqrt(disc)
                 for r in ((-c1 - sq) / c2, (-c1 + sq) / c2):
                     if a < r < b:
-                        out.append(r)
+                        found.append(r)
             elif c1 != 0.0:
                 r = (knot - c0) / c1
                 if a < r < b:
-                    out.append(r)
-    return sorted(set(out))
+                    found.append(r)
+        out.append(sorted(set(found)))
+    return out
 
 
-def _velocity_kinks_loop(paths, knots, a, b):
+def _velocity_kinks_loop(paths, knots, los, his):
     """Per-path loop over the velocities c1 + c2 t of (c0, c1, c2) paths."""
     out = []
-    for _, c1, c2 in paths:
-        if c2 == 0.0:
-            continue
-        for knot in knots:
-            r = (knot - c1) / c2
-            if a < r < b:
-                out.append(r)
-    return sorted(set(out))
+    for (_, c1, c2), a, b in zip(paths, los, his):
+        found = []
+        if c2 != 0.0:
+            for knot in knots:
+                r = (knot - c1) / c2
+                if a < r < b:
+                    found.append(r)
+        out.append(sorted(set(found)))
+    return out
+
+
+def _left_law(tl, s):
+    """Velocity law and conditional mean acceleration at the left limit at
+    s, grouped like velocity_space_fields but from segment_before."""
+    seg = tl.segment_before(s)
+    mu, w, _ = _group_velocity_atoms(seg.c1 + s * seg.c2, seg.mass / tl.total_mass,
+                                     seg.theta, DEFAULT_TOL)
+    return mu, w
 
 
 def _grouped_velocity_terms(tl, f, t1, t2):
@@ -159,7 +179,7 @@ def _grouped_velocity_terms(tl, f, t1, t2):
     for s in tl.event_times:
         if t1 < s <= t2:
             fl = velocity_space_fields(tl, s)
-            (r_mu, r_wmu), (l_mu, l_wmu) = terms(fl.mu, fl.w), terms(fl.mu_left, fl.w_left)
+            (r_mu, r_wmu), (l_mu, l_wmu) = terms(fl.mu, fl.w), terms(*_left_law(tl, s))
             j_mu += r_mu - l_mu
             j_wmu += r_wmu - l_wmu
     return (m2 - m1, j_mu), (wm2 - wm1, j_wmu)
@@ -208,6 +228,32 @@ def _coincidence_times_loop(tl):
     return sorted(out)
 
 
+def _window_edge_cases():
+    """(timeline, t1, t2) with a window edge on a shock or at t_end: t1 on a
+    shock (outside (t1, t2]) and t2 on a later one (inside); a finite t_end
+    on a shock, with t2 = t_end; a finite t_end past the last shock, with
+    t2 = t_end (the lives alive there end at no shock)."""
+    runs = [simulate(random_data(seed + 19_000)[0]) for seed in range(10)]
+    runs += [simulate(lattice_instance(seed + 19_100, 4 + seed)) for seed in range(6)]
+    cases = []
+    for full in runs:
+        if not full.events:
+            continue
+        ts = sorted(set(full.event_times))
+        if len(ts) >= 3:
+            cases += [(full, ts[0], ts[-1]), (full, ts[1], ts[-1] + 1.0)]
+        t_end = full.event_times[(len(full.events) - 1) // 2]
+        tl = simulate(full.initial, t_end=t_end)
+        # the shock at t_end closes a segment and opens an empty one
+        assert tl.event_times[-1] == tl.bounds[-2] == tl.bounds[-1] == t_end
+        cases.append((tl, 0.05 * t_end, t_end))
+        tl = simulate(full.initial, t_end=full.event_times[-1] + 0.5)
+        assert tl.event_times == full.event_times
+        cases.append((tl, 0.05 * tl.t_end, tl.t_end))
+    assert len(cases) >= 40
+    return cases
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [7, 8])
     def test_rule_matches_leggauss(self, n):
@@ -223,7 +269,8 @@ class TestGaussLegendre:
             lo = rng.uniform(-3.0, 3.0)
             hi = lo + rng.uniform(1e-3, 4.0)
             pieces = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, 3)]))
-            ((value, gap),) = _gauss_legendre(lambda t: [p(t)], pieces)
+            a, b = pieces[:-1], pieces[1:]
+            ((value, gap),) = _gauss_legendre(a, b, [p(_gauss_nodes(a, b))])
             antiderivative = p.integ()
             exact = antiderivative(hi) - antiderivative(lo)
             # rounding of a 15-term sum per piece, relative to the integrand's size
@@ -233,7 +280,8 @@ class TestGaussLegendre:
 
     def test_gap_reports_what_the_rule_misses(self):
         p = np.polynomial.Polynomial([0.0] * 16 + [1.0])  # t^16: beyond degree 15
-        ((value, gap),) = _gauss_legendre(lambda t: [p(t)], np.array([0.0, 1.0]))
+        a, b = np.array([0.0]), np.array([1.0])
+        ((value, gap),) = _gauss_legendre(a, b, [p(_gauss_nodes(a, b))])
         assert abs(value - 1.0 / 17.0) > 1e-10
         assert gap >= abs(value - 1.0 / 17.0)
 
@@ -241,45 +289,73 @@ class TestGaussLegendre:
         rng = np.random.default_rng(15_100)
         pieces = np.sort(rng.uniform(-2.0, 2.0, 6))
         ps = [np.polynomial.Polynomial(rng.normal(size=k)) for k in (3, 9, 17)]
-        together = _gauss_legendre(lambda t: [p(t) for p in ps], pieces)
-        alone = [_gauss_legendre(lambda t: [p(t)], pieces)[0] for p in ps]
+        a, b = pieces[:-1], pieces[1:]
+        t = _gauss_nodes(a, b)
+        together = _gauss_legendre(a, b, [p(t) for p in ps])
+        alone = [_gauss_legendre(a, b, [p(t)])[0] for p in ps]
         assert repr(together) == repr(alone)
 
 
 def _knot_cases():
-    """(paths, knots, a, b): segments of simulated runs, random and integer
-    coefficients, and the edge cases of the root formulas."""
+    """(paths, knots, los, his), one span (lo, hi) per path: segments of
+    simulated runs and their cluster lives, random and integer coefficients,
+    and the edge cases of the root formulas."""
     cases = []
     for seed in range(20):
         data, rng = random_data(seed + 15_200)
         tl = simulate(data)
         hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
         cuts = [0.05 * hi, *tl.event_times, hi]
+        knots = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b <= a:
                 continue
             seg = tl.segment_at(a)
             xs = seg.c0 + a * (seg.c1 + 0.5 * a * seg.c2)
             vs = seg.c1 + a * seg.c2
-            knots = [k for v in (xs, vs) for f in covering_test_functions(v) for k in f.knots]
-            cases.append((list(zip(seg.c0, seg.c1, seg.c2)), knots, a, b))
+            seg_knots = [k for v in (xs, vs) for f in covering_test_functions(v) for k in f.knots]
+            n = len(seg.lives)
+            cases.append((list(zip(seg.c0, seg.c1, seg.c2)), seg_knots, [a] * n, [b] * n))
+            knots += seg_knots
+        # every life over its own span inside [0.05 hi, hi], as the weak form
+        # cuts them
+        first, last, *_, c0, c1, c2 = tl.columns
+        bounds = np.asarray(tl.bounds)
+        los = np.maximum(bounds[first], cuts[0])
+        his = np.minimum(bounds[last + 1], hi)
+        keep = los < his
+        cases.append((list(zip(c0[keep], c1[keep], c2[keep])), knots,
+                      los[keep].tolist(), his[keep].tolist()))
     rng = np.random.default_rng(15_300)
+    spans = np.random.default_rng(15_400)
     for _ in range(200):
         n = int(rng.integers(1, 8))
         paths = list(zip(*(rng.integers(-3, 4, (3, n)) * rng.choice([1.0, 0.5], (3, n)))))
         a = float(rng.integers(-2, 2))
-        cases.append((paths, rng.integers(-4, 5, 5).astype(float), a, a + float(rng.integers(1, 4))))
+        knots = rng.integers(-4, 5, 5).astype(float)
+        b = a + float(rng.integers(1, 4))
+        cases.append((paths, knots, [a] * n, [b] * n))
+        # the same paths, each span shifted on its own
+        los = a + 0.5 * spans.integers(-2, 3, n)
+        cases.append((paths, knots, los.tolist(), (los + b - a).tolist()))
     cases += [
-        ([(0.0, 1.0, 0.0)], [0.5, 2.0], 0.0, 1.0),     # c2 = 0: affine root
-        ([(0.3, 0.0, 0.0)], [0.3, 1.0], 0.0, 1.0),     # c1 = c2 = 0: none
-        ([(1.0, -2.0, 2.0)], [0.0], -5.0, 5.0),        # disc = 0: tangency, none
-        ([(1.0, -2.0, 2.0)], [-1.0], -5.0, 5.0),       # disc < 0: none
-        ([(0.0, 0.0, 2.0)], [1.0], 1.0, 3.0),          # root t = 1 is the piece start
-        ([(0.0, 0.0, 2.0)], [1.0], -3.0, -1.0),        # root t = -1 is the piece end
-        ([(0.0, 1.0, 0.0)], [2.0], 0.5, 2.0),          # affine root at the piece end
-        ([(0.0, 1.0, 2.0), (5.0, 2.0, 0.0)], [], 0.0, 1.0),  # no knots
+        ([(0.0, 1.0, 0.0)], [0.5, 2.0], [0.0], [1.0]),     # c2 = 0: affine root
+        ([(0.3, 0.0, 0.0)], [0.3, 1.0], [0.0], [1.0]),     # c1 = c2 = 0: none
+        ([(1.0, -2.0, 2.0)], [0.0], [-5.0], [5.0]),        # disc = 0: tangency, none
+        ([(1.0, -2.0, 2.0)], [-1.0], [-5.0], [5.0]),       # disc < 0: none
+        ([(0.0, 0.0, 2.0)], [1.0], [1.0], [3.0]),          # root t = 1 is the span start
+        ([(0.0, 0.0, 2.0)], [1.0], [-3.0], [-1.0]),        # root t = -1 is the span end
+        ([(0.0, 1.0, 0.0)], [2.0], [0.5], [2.0]),          # affine root at the span end
+        ([(0.0, 1.0, 2.0), (5.0, 2.0, 0.0)], [], [0.0, 0.0], [1.0, 1.0]),  # no knots
+        # one path, two spans: the root is inside the first only
+        ([(0.0, 1.0, 0.0), (0.0, 1.0, 0.0)], [0.5], [0.0, 0.5], [1.0, 2.0]),
     ]
     return cases
+
+
+def _distinct(row):
+    """The crossings of one path, as the sorted distinct floats the loops give."""
+    return sorted(set(row[~np.isnan(row)].tolist()))
 
 
 class TestKnotCrossings:
@@ -291,23 +367,25 @@ class TestKnotCrossings:
             return repr([v + 0.0 for v in values])
 
         found = 0
-        for paths, knots, a, b in _knot_cases():
+        for paths, knots, los, his in _knot_cases():
             # the loops run on Python floats, as on QuadraticPath coefficients
             paths = [tuple(map(float, path)) for path in paths]
             knots = [float(k) for k in knots]
             c0, c1, c2 = (np.array(c, dtype=float).reshape(-1) for c in zip(*paths))
-            expected = _position_kinks_loop(paths, knots, a, b)
-            assert bits(_knot_crossings(c0, c1, c2, knots, a, b)) == bits(expected)
+            expected = _position_kinks_loop(paths, knots, los, his)
+            got = _knot_crossings(c0, c1, c2, knots, los, his)
+            assert [bits(_distinct(row)) for row in got] == [bits(e) for e in expected]
             # velocity c1 + c2 t as the quadratic (c1, c2, 0)
-            expected_v = _velocity_kinks_loop(paths, knots, a, b)
-            got_v = _knot_crossings(c1, c2, np.zeros_like(c2), knots, a, b)
-            assert bits(got_v) == bits(expected_v)
-            found += bool(expected) + bool(expected_v)
+            expected_v = _velocity_kinks_loop(paths, knots, los, his)
+            got_v = _knot_crossings(c1, c2, np.zeros_like(c2), knots, los, his)
+            assert [bits(_distinct(row)) for row in got_v] == [bits(e) for e in expected_v]
+            found += any(expected) + any(expected_v)
         assert found >= 100
 
     def test_edge_cases(self):
         def crossings(path, knots, a, b):
-            return _knot_crossings(*(np.array([c]) for c in path), knots, a, b)
+            (row,) = _knot_crossings(*(np.array([c]) for c in path), knots, a, b)
+            return _distinct(row)
 
         assert crossings((0.0, 1.0, 0.0), [0.5, 2.0], 0.0, 1.0) == [0.5]
         assert crossings((0.3, 0.0, 0.0), [0.3], 0.0, 1.0) == []
@@ -316,6 +394,10 @@ class TestKnotCrossings:
         assert crossings((0.0, 0.0, 2.0), [1.0], 1.0, 3.0) == []
         assert crossings((0.0, 0.0, 2.0), [1.0], 0.5, 3.0) == [1.0]
         assert crossings((0.0, 0.0, 2.0), [1.0], -3.0, 3.0) == [-1.0, 1.0]
+        # each path keeps to its own span
+        both = _knot_crossings(np.zeros(2), np.ones(2), np.zeros(2), [0.5, 1.5],
+                               [0.0, 1.0], [1.0, 2.0])
+        assert [_distinct(row) for row in both] == [[0.5], [1.5]]
 
 
 class TestTestFunctions:
@@ -352,10 +434,12 @@ class TestPositionSpace:
     def test_quadrature_matches_adaptive_reference(self):
         straddling = validate([0, 1], [1, 1], [1, 0], [0.3, -0.2])
         instances = [straddling] + [random_data(seed + 14_000)[0] for seed in range(30)]
+        cases = []
         for data in instances:
             tl = simulate(data)
             hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
-            t1, t2 = 0.05 * hi, hi
+            cases.append((tl, 0.05 * hi, hi))
+        for tl, t1, t2 in cases + _window_edge_cases():
             xs = np.concatenate([tl.positions_at(t1), tl.positions_at(t2)])
             for f in covering_test_functions(xs, pad=0.5 * (1.0 + float(np.ptp(xs)))):
                 mass_eq, momentum_eq = position_space_residuals(tl, f, t1, t2)
@@ -542,6 +626,17 @@ class TestVelocityResiduals:
         assert abs(momentum_eq.residual) <= 1e-8
 
 
+    def test_shock_at_window_edge(self, weighted_pair):
+        """A shock at t1 lies outside the window (t1, t2], one at t2 inside."""
+        tl = simulate(weighted_pair)
+        T = tl.event_times[0]
+        f = bump(0.0, 3.0)
+        for report in velocity_space_residuals(tl, f, T, 2.0 * T):
+            assert report.jump == 0.0
+        for at_shock, past_shock in zip(velocity_space_residuals(tl, f, 0.5 * T, T),
+                                        velocity_space_residuals(tl, f, 0.5 * T, 1.5 * T)):
+            assert at_shock.jump == past_shock.jump != 0.0
+
     def test_lhs_and_jump_equal_grouped_law(self):
         """Per-cluster sums against the grouped velocity law.  Each term sums
         weights totalling 1 times |f| <= 1 and, for momentum, |Gamma|; the
@@ -561,6 +656,7 @@ class TestVelocityResiduals:
         # velocities coincide at t = 1 (acceptance criterion 8)
         tl = simulate(validate([0.0, 10.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]))
         cases += [(tl, 0.5, 1.0), (tl, 1.0, 2.0), (tl, 0.5, tl.event_times[0] + 1.0)]
+        cases += _window_edge_cases()
 
         eps = np.finfo(float).eps
         grouped = 0
@@ -617,7 +713,7 @@ class TestJumpMeasureInvariants:
         fl = velocity_space_fields(tl, T)
         now = fl.mu.integrate(f)
         just_after = velocity_space_fields(tl, T + 1e-9).mu.integrate(f)
-        before = fl.mu_left.integrate(f)
+        before = _left_law(tl, T)[0].integrate(f)
         assert abs(just_after - now) <= 1e-6
         assert abs(before - now) > 1e-3
 

@@ -124,6 +124,7 @@ class TestCli:
         assert main(["gvp", str(instance_file), "--times", "0.0,0.5,2.0",
                      "--out-dir", str(out)]) == 0
         report = (out / "gvp_report.csv").read_text()
+        assert report.splitlines()[0] == "time,verdict,simulated,reconstructed,tie_indices"
         assert report.count("MATCH") == 3 and "MISMATCH" not in report
 
     def test_gvp_rejects_increasing_acceleration(self, tmp_path, capsys):
