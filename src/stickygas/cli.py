@@ -25,7 +25,7 @@ from . import gas as gaslib
 from .dynamics import ShockTimeline, horizon_of, simulate
 from .errors import InadmissibleData, StickyError
 from .flow import dermoune_identity_residuals, right_derivative_check
-from .gvp import gvp_equivalence_check
+from .gvp import gvp_equivalence_check, require_admissible
 from .instances import (
     Instance,
     instance_dict,
@@ -192,14 +192,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_gvp(args) -> int:
     inst, tol = _load(args)
-    if not inst.data.gvp_admissible:
-        print("error: acceleration profile increases with position; the endpoint "
-              "certification is only guaranteed for non-increasing profiles "
-              "(an increasing pair re-crosses after its shock and the interval "
-              "inequality fails beyond the second crossing)", file=sys.stderr)
-        return INPUT_ERROR
+    require_admissible(inst.data)
     out = _out_dir(args)
-    report = gvp_equivalence_check(inst.data, args.times, tol)
+    report = gvp_equivalence_check(simulate(inst.data, tol=tol), args.times)
     rows = []
     for e in report.entries:
         rows.append([
@@ -258,7 +253,7 @@ def cmd_gas(args) -> int:
     for tc in gaslib.velocity_coincidence_times(timeline, t2):
         if not t1 <= tc <= t2:
             continue
-        fields = gaslib.velocity_space_fields(timeline, tc, tol)
+        fields = gaslib.velocity_space_fields(timeline, tc)
         for (v, wt), w, a in zip(fields.mu.atoms, fields.w, fields.a):
             if a > 0.0:
                 cong_rows.append([tc, v, wt, w, a])

@@ -151,13 +151,15 @@ class ShockTimeline:
     """A run as a merge tree: segment i is [bounds[i], bounds[i+1]), and each
     of the at most 2N-1 lives is one cluster over a range of segments.  Lives
     are sorted by left particle index, then by first segment, so a mask
-    picks a segment's lives in particle-index order."""
+    picks a segment's lives in particle-index order.  `tol` is the policy
+    the run was built under; every check on the timeline compares with it."""
 
     initial: InitialData
     t_end: float
     events: tuple[ShockEvent, ...]
     bounds: tuple[float, ...]
     lives: tuple[Life, ...]
+    tol: Tolerances
     _views: dict[int, Segment] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -413,7 +415,7 @@ def simulate(
     tree = sorted((Life(c, p, first, final if last is None else last)
                    for c, p, first, last in lives),
                   key=lambda life: (life.cluster.left_index, life.first))
-    return ShockTimeline(data, float(t_end), tuple(events), tuple(bounds), tuple(tree))
+    return ShockTimeline(data, float(t_end), tuple(events), tuple(bounds), tuple(tree), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 from .dynamics import Life, ShockTimeline
 from .errors import UndefinedFieldPoint
 from .model import Cluster
-from .tolerances import DEFAULT_TOL, Tolerances
 
 
 def _cluster_sums(timeline: ShockTimeline, cluster: Cluster, t: float):
@@ -39,16 +38,16 @@ def _cluster_sums(timeline: ShockTimeline, cluster: Cluster, t: float):
 @dataclass(frozen=True, eq=False)
 class FlowField:
     """Lagrangian evaluators keyed by initial position, Eulerian ones by
-    current position (defined only on the support, never extrapolated)."""
+    current position (defined only on the support, never extrapolated);
+    points are matched within the run's abs_tol."""
 
     timeline: ShockTimeline
-    tol: Tolerances = DEFAULT_TOL
 
     def _index_of(self, x0: float) -> int:
         xs = self.timeline.initial.positions
         j = int(np.searchsorted(xs, x0))
         for k in (j - 1, j):
-            if 0 <= k < len(xs) and abs(xs[k] - x0) <= self.tol.abs_tol:
+            if 0 <= k < len(xs) and abs(xs[k] - x0) <= self.timeline.tol.abs_tol:
                 return k
         raise UndefinedFieldPoint(f"{x0} is not an initial particle position")
 
@@ -63,7 +62,7 @@ class FlowField:
 
     def _life_at(self, y: float, t: float) -> Life:
         for life in self.timeline.segment_at(t).lives:
-            if abs(life.path(t) - y) <= self.tol.abs_tol:
+            if abs(life.path(t) - y) <= self.timeline.tol.abs_tol:
                 return life
         raise UndefinedFieldPoint(f"{y} is not in the support at t={t}")
 
@@ -186,15 +185,14 @@ def right_derivative_check(
     return RightDerivativeReport(t, tuple(probes))
 
 
-def conditioning_matches_partition(
-    timeline: ShockTimeline, t: float, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Grouping current positions by tolerance must reproduce the partition."""
+def conditioning_matches_partition(timeline: ShockTimeline, t: float) -> bool:
+    """Grouping current positions within the run's abs_tol must reproduce
+    the partition."""
     xs = timeline.positions_at(t)
     groups = []
     start = 0
     for j in range(1, len(xs)):
-        if xs[j] - xs[j - 1] > tol.abs_tol:
+        if xs[j] - xs[j - 1] > timeline.tol.abs_tol:
             groups.append((start, j - 1))
             start = j
     groups.append((start, len(xs) - 1))

@@ -21,8 +21,10 @@ subtracts those that end there, and E[f'(Y) rate], E[f'(Y) rate^2] and
 E[f(Y) Gamma] are integrated over each life's span inside [t1, t2].  Inside
 these expectations the conditioning on the velocity collapses (tower
 property), so the residuals never group clusters by velocity; the grouping
-(VelocityFields) is kept for what needs the conditional variance: jump
-measures, congestion samples and the initial-limit and continuity checks.
+(VelocityFields) is kept for what needs the conditional variance: congestion
+samples and the initial-limit and continuity checks.  The shock-time
+quantities (jump measures, force jumps, threshold crossings) read the same
+born and ended lives as the residual jumps.
 
 A life's span is split only where its own Y crosses a knot of the test
 function.  On each piece every integrand is a polynomial in t (degree <= 12
@@ -156,6 +158,22 @@ def _moments(f: TestFunction, t, wgt, theta, c0, c1, c2,
     return float(wgt @ fy), float(wgt @ (fy * rate))
 
 
+def _shock_lives(timeline: ShockTimeline, t1: float, t2: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lives born at a shock in (t1, t2], then those that end at one:
+    their rows in `timeline.columns`, the time of each row's shock, and its
+    sign (+1 born, -1 ended).  A life of segment 0 is born at no shock (t1
+    may be <= 0), and a life alive at t_end ends at none."""
+    first, last = timeline.columns[:2]
+    bounds = np.asarray(timeline.bounds)
+    born, ends = bounds[first], bounds[last + 1]
+    births = (first > 0) & (t1 < born) & (born <= t2)
+    deaths = (last < timeline.n_segments - 1) & (t1 < ends) & (ends <= t2)
+    rows = np.concatenate([births.nonzero()[0], deaths.nonzero()[0]])
+    sign = np.repeat([1.0, -1.0], [np.count_nonzero(births), np.count_nonzero(deaths)])
+    return rows, np.concatenate([born[births], ends[deaths]]), sign
+
+
 def _weak_form(
     timeline: ShockTimeline, f: TestFunction, t1: float, t2: float, velocity: bool
 ) -> tuple[tuple[float, float], tuple[float, float], list[tuple[float, float]]]:
@@ -178,14 +196,8 @@ def _weak_form(
     born, ends = bounds[first], bounds[last + 1]
     jumps = (0.0, 0.0)
     if velocity:
-        # t1 > 0, so no life born at time 0 counts; a life alive at t_end
-        # ends at no shock
-        births = (t1 < born) & (born <= t2)
-        deaths = (last < timeline.n_segments - 1) & (t1 < ends) & (ends <= t2)
-        rows = np.concatenate([births.nonzero()[0], deaths.nonzero()[0]])
-        jumps = _moments(f, np.concatenate([born[births], ends[deaths]]),
-                         np.concatenate([wgt[births], -wgt[deaths]]),
-                         *(c[rows] for c in path), velocity)
+        rows, times, sign = _shock_lives(timeline, t1, t2)
+        jumps = _moments(f, times, sign * wgt[rows], *(c[rows] for c in path), velocity)
 
     # each life's span inside [t1, t2] (empty outside it), cut at its own
     # crossings; nan sorts last and empty pieces drop out
@@ -236,24 +248,26 @@ class VelocityFields:
     """Velocity law and conditional fields at one time.
 
     Atom-aligned tuples: w[i] is the conditional mean acceleration at
-    mu.atoms[i], a[i] the conditional variance."""
+    mu.atoms[i], a[i] the conditional variance.  tol is the policy of the
+    run the fields were read from; it groups the atoms and finds them."""
 
     t: float
     mu: DiscreteMeasure
     w: tuple[float, ...]
     a: tuple[float, ...]
+    tol: Tolerances
 
-    def _lookup(self, v: float, tol: Tolerances) -> int:
+    def _lookup(self, v: float) -> int:
         for i, (loc, _) in enumerate(self.mu.atoms):
-            if abs(loc - v) <= tol.abs_tol:
+            if abs(loc - v) <= self.tol.abs_tol:
                 return i
         raise KeyError(f"no velocity atom at {v}")
 
-    def w_at(self, v: float, tol: Tolerances = DEFAULT_TOL) -> float:
-        return self.w[self._lookup(v, tol)]
+    def w_at(self, v: float) -> float:
+        return self.w[self._lookup(v)]
 
-    def a_at(self, v: float, tol: Tolerances = DEFAULT_TOL) -> float:
-        return self.a[self._lookup(v, tol)]
+    def a_at(self, v: float) -> float:
+        return self.a[self._lookup(v)]
 
 
 def _group_velocity_atoms(
@@ -283,15 +297,13 @@ def _group_velocity_atoms(
     return DiscreteMeasure(atoms), tuple(w.tolist()), tuple(a.tolist())
 
 
-def velocity_space_fields(
-    timeline: ShockTimeline, t: float, tol: Tolerances = DEFAULT_TOL
-) -> VelocityFields:
+def velocity_space_fields(timeline: ShockTimeline, t: float) -> VelocityFields:
     """Law of the velocity process at t (right-continuous) with the
     conditional mean / variance of the cluster acceleration given velocity."""
     seg = timeline.segment_at(t)
     mu, w, a = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / timeline.total_mass,
-                                     seg.theta, tol)
-    return VelocityFields(t, mu, w, a)
+                                     seg.theta, timeline.tol)
+    return VelocityFields(t, mu, w, a, timeline.tol)
 
 
 def velocity_space_residuals(
@@ -315,20 +327,25 @@ def velocity_space_residuals(
     return mass_eq, momentum_eq
 
 
-def jump_measure(timeline: ShockTimeline, s: float, tol: Tolerances = DEFAULT_TOL) -> DiscreteMeasure:
-    """Signed measure mu(., s+) - mu(., s-) at one shock time."""
-    seg = timeline.segment_before(s)
-    left, _, _ = _group_velocity_atoms(seg.c1 + s * seg.c2, seg.mass / timeline.total_mass,
-                                       seg.theta, tol)
-    return velocity_space_fields(timeline, s, tol).mu.minus(left, tol)
+def jump_measure(timeline: ShockTimeline, s: float) -> DiscreteMeasure:
+    """Signed measure mu(., s+) - mu(., s-) at one shock time: the lives
+    born at s less those that end there, coalesced."""
+    timeline._check_time(s)
+    # (the float before s, s] holds the shock at s and no other
+    rows, times, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
+    _, _, _, mass, _, _, c1, c2 = timeline.columns
+    v = c1[rows] + times * c2[rows]
+    w = sign * mass[rows] / timeline.total_mass
+    return DiscreteMeasure.from_pairs(zip(v.tolist(), w.tolist())).coalesced(timeline.tol)
 
 
 def force_jump_total(timeline: ShockTimeline, s: float) -> float:
     """Total of w+ mu+ - w- mu- at a shock, E[Gamma] after minus before it
     (tower property); zero when force is conserved."""
-    right, left = timeline.segment_at(s), timeline.segment_before(s)
-    M = timeline.total_mass
-    return float((right.mass / M) @ right.theta) - float((left.mass / M) @ left.theta)
+    timeline._check_time(s)
+    rows, _, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
+    _, _, _, mass, theta, *_ = timeline.columns
+    return float((sign * mass[rows] / timeline.total_mass) @ theta[rows])
 
 
 def threshold_crossing_measure(
@@ -342,18 +359,11 @@ def threshold_crossing_measure(
     lo, hi = interval
     if not t1 < t2:
         raise WindowOutOfRange(f"need t1 < t2, got ({t1}, {t2})")
-    m = timeline.initial.masses
-    M = timeline.total_mass
-    total = 0.0
-    for s in timeline.event_times:
-        if not t1 < s <= min(t2, timeline.t_end):
-            continue
-        v_right = timeline.velocities_at(s)
-        v_left = timeline.velocities_at_left(s)
-        inside_right = (v_right >= lo) & (v_right <= hi)
-        inside_left = (v_left >= lo) & (v_left <= hi)
-        total += float((m / M) @ (inside_right.astype(float) - inside_left.astype(float)))
-    return total
+    rows, times, sign = _shock_lives(timeline, t1, t2)
+    _, _, _, mass, _, _, c1, c2 = timeline.columns
+    v = c1[rows] + times * c2[rows]
+    inside = (v >= lo) & (v <= hi)
+    return float((sign * mass[rows] / timeline.total_mass) @ inside)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +457,12 @@ def initial_limits_check(
     timeline: ShockTimeline,
     g_list: Sequence[TestFunction],
     times: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[InitialLimitEntry]:
     """Weak convergence toward the initial velocity law as t drops to 0.
 
     The congestion flux must converge to 0 even when the initial conditional
     variance is nonzero (limit and initial evaluation do not commute)."""
-    mu0, w0, a0 = initial_velocity_law(timeline.initial, tol)
+    mu0, w0, a0 = initial_velocity_law(timeline.initial, timeline.tol)
     entries = []
     for g in g_list:
         base_mass = mu0.integrate(g)
@@ -461,7 +470,7 @@ def initial_limits_check(
         base_cong = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(mu0.atoms, a0))
         mass_gaps, flux_gaps, cong_vals = [], [], []
         for t in times:
-            fl = velocity_space_fields(timeline, t, tol)
+            fl = velocity_space_fields(timeline, t)
             mass_t = fl.mu.integrate(g)
             flux_t = math.fsum(wt * w * float(g(v)) for (v, wt), w in zip(fl.mu.atoms, fl.w))
             cong_t = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(fl.mu.atoms, fl.a))
@@ -497,7 +506,6 @@ def continuity_conditions_check(
     f_list: Sequence[TestFunction] = (),
     window: tuple[float, float] | None = None,
     n_samples: int = 101,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ContinuityConditionsReport:
     """Conditions under which the velocity-space solution also solves the
     continuous (jump-free) system: law continuity and vanishing conditional
@@ -515,17 +523,17 @@ def continuity_conditions_check(
     for t in np.linspace(t1, t2, n_samples):
         if any(abs(t - tc) < 1e-6 for tc in coincidences):
             continue
-        fl = velocity_space_fields(timeline, float(t), tol)
+        fl = velocity_space_fields(timeline, float(t))
         if fl.a:
             max_a = max(max_a, max(fl.a))
     samples = []
     for tc in coincidences:
-        fl = velocity_space_fields(timeline, tc, tol)
+        fl = velocity_space_fields(timeline, tc)
         for (v, _), a in zip(fl.mu.atoms, fl.a):
             if a > 0.0:
                 samples.append((tc, v, a))
 
-    _, _, a0 = initial_velocity_law(timeline.initial, tol)
+    _, _, a0 = initial_velocity_law(timeline.initial, timeline.tol)
     a0_zero = all(a <= 1e-14 for a in a0)
 
     pre_reports: list[ResidualReport] = []

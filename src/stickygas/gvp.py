@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ShockTimeline, simulate
+from .dynamics import ShockTimeline
 from .errors import InadmissibleData, InconsistentEndpoints, IndexOutOfRange
 from .model import InitialData
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -163,6 +163,15 @@ def _certified_intervals(F: GvpFunctional) -> tuple[tuple[int, int], ...]:
     return tuple(zip([0] + [k + 1 for k in cuts], cuts + [F.data.n - 1]))
 
 
+def require_admissible(data: InitialData) -> None:
+    """InadmissibleData unless the acceleration profile is non-increasing."""
+    if not data.gvp_admissible:
+        raise InadmissibleData(
+            "acceleration increases somewhere; endpoint certification is only "
+            "guaranteed for non-increasing profiles (a pair with increasing "
+            "acceleration re-crosses after its shock, breaking the inequality)")
+
+
 def clusters_from_gvp(
     data: InitialData,
     t: float,
@@ -175,11 +184,7 @@ def clusters_from_gvp(
     a time on a shock gives the merged side.  InadmissibleData unless the
     acceleration profile is non-increasing.
     """
-    if not data.gvp_admissible:
-        raise InadmissibleData(
-            "acceleration increases somewhere; endpoint certification is only "
-            "guaranteed for non-increasing profiles (a pair with increasing "
-            "acceleration re-crosses after its shock, breaking the inequality)")
+    require_admissible(data)
     return _certified_intervals(GvpFunctional(data, t, tol=tol))
 
 
@@ -247,22 +252,19 @@ class GvpEquivalenceReport:
 
 
 def gvp_equivalence_check(
-    data: InitialData,
-    times: Sequence[float],
-    tol: Tolerances = DEFAULT_TOL,
-    timeline: ShockTimeline | None = None,
+    timeline: ShockTimeline, times: Sequence[float]
 ) -> GvpEquivalenceReport:
-    """Compare the variational partition against the simulated one per time.
+    """Compare the variational partition, cut at the run's tolerances,
+    against the simulated one per time.
 
     Runs the endpoint tests regardless of admissibility so that increasing
     profiles can demonstrate their failure mode; the report carries every
     mismatch plus any within-tolerance endpoint ties."""
-    if timeline is None:
-        timeline = simulate(data)
+    data = timeline.initial
     entries = []
     for t in times:
         sim = timeline.partition_at(t)
-        F = GvpFunctional(data, t, tol)
+        F = GvpFunctional(data, t, timeline.tol)
         ties = tuple(endpoint_tie_indices(F))
         gvp = _certified_intervals(F)
         entries.append(GvpComparison(t, sim, gvp, gvp == sim, ties))

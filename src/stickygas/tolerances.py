@@ -2,9 +2,11 @@
 
 Everything runs in binary64.  Comparisons use an absolute tolerance
 ``abs_tol`` (default 1e-9) and a relative tolerance ``rel_tol`` (default
-1e-12); both are configurable per call site and must be finite and
-non-negative (zero is allowed).  Event grouping in the
-simulator uses the time-scaled tolerance ``event_tol``.
+1e-12); both are set per run and must be finite and non-negative (zero is
+allowed).  ``simulate`` keeps the tolerances it ran with on the timeline
+(``ShockTimeline.tol``), and every check on the timeline reads them there.
+Event grouping in the simulator uses the time-scaled tolerance
+``event_tol``.
 """
 
 from __future__ import annotations

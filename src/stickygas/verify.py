@@ -132,15 +132,11 @@ def conservation_suite(
     return SuiteResult("conservation", True)
 
 
-def gvp_suite(
-    timeline: ShockTimeline,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SuiteResult:
+def gvp_suite(timeline: ShockTimeline, rng: np.random.Generator) -> SuiteResult:
     """Variational partition equals the simulated one at GVP_TIMES sampled
     times, each at least GVP_MIN_GAP from every shock."""
     times = sample_times(timeline, rng, GVP_TIMES, GVP_MIN_GAP)
-    report = gvp_equivalence_check(timeline.initial, times, tol, timeline)
+    report = gvp_equivalence_check(timeline, times)
     if report.all_match:
         return SuiteResult("gvp-equivalence", True)
     e = report.mismatches[0]
@@ -166,16 +162,12 @@ def dermoune_suite(
     return SuiteResult("dermoune-identities", True)
 
 
-def oracle_suite(
-    timeline: ShockTimeline,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SuiteResult:
+def oracle_suite(timeline: ShockTimeline, rng: np.random.Generator) -> SuiteResult:
     """Event-driven partition equals the time-stepped oracle's (step
-    ORACLE_DT) at ORACLE_TIMES sampled times kept at least 10*ORACLE_DT away
-    from every shock."""
+    ORACLE_DT, the run's tolerances) at ORACLE_TIMES sampled times kept at
+    least 10*ORACLE_DT away from every shock."""
     times = sample_times(timeline, rng, ORACLE_TIMES, min_gap=10.0 * ORACLE_DT)
-    oracle = brute_force_partitions(timeline.initial, times, ORACLE_DT, tol)
+    oracle = brute_force_partitions(timeline.initial, times, ORACLE_DT, timeline.tol)
     for t, part in zip(times, oracle):
         engine = timeline.partition_at(t)
         if engine != part:
@@ -193,11 +185,11 @@ def run_instance_suites(
     timeline = simulate(data, tol=tol)
     results = [
         conservation_suite(timeline),
-        gvp_suite(timeline, rng, tol=tol),
+        gvp_suite(timeline, rng),
         dermoune_suite(timeline, rng),
     ]
     if with_oracle:
-        results.append(oracle_suite(timeline, rng, tol=tol))
+        results.append(oracle_suite(timeline, rng))
     return results
 
 

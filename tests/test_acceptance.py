@@ -105,7 +105,7 @@ def test_criterion_02_gvp_equivalence(corpus):
     for seed, data, tl in corpus:
         rng = np.random.default_rng(seed + 1_000_000)
         times = sample_times(tl, rng, 5, min_gap=1e-6)
-        report = gvp_equivalence_check(data, times, timeline=tl)
+        report = gvp_equivalence_check(tl, times)
         for e in report.mismatches:
             failures.append(f"seed {seed} t={e.time}: {e.simulated} vs {e.reconstructed}")
     if time.perf_counter() - started >= 60.0:

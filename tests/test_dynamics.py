@@ -8,16 +8,25 @@ import pytest
 import stickygas.dynamics as dynamics
 import stickygas.model as model
 from stickygas import (
+    FlowField,
     brute_force_partitions,
     next_collision,
     simulate,
     validate,
+    velocity_space_fields,
 )
-from stickygas.errors import TimeOutOfRange
+from stickygas.errors import TimeOutOfRange, UndefinedFieldPoint
+from stickygas.flow import conditioning_matches_partition
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster
-from stickygas.tolerances import DEFAULT_TOL
-from stickygas.verify import conservation_suite, inject_velocity_fault, sample_times
+from stickygas.tolerances import DEFAULT_TOL, Tolerances
+from stickygas.verify import (
+    conservation_suite,
+    gvp_suite,
+    inject_velocity_fault,
+    oracle_suite,
+    sample_times,
+)
 from tests.conftest import lattice_instance, random_data, tiles
 
 
@@ -831,3 +840,60 @@ class TestInvariants:
                     g, d = grp.merged.interval
                     spread = xl[g : d + 1].max() - xl[g : d + 1].min()
                     assert spread <= 1e-9 * (1.0 + abs(event.time))
+
+
+class TestRunTolerances:
+    """Every check on a timeline compares with the tolerances of its run."""
+
+    # A near miss: the gap 1e-3 (1 - 2t + 2t^2) stays within 1e-3 on [0, 1]
+    # and never closes, so neither tolerance merges the pair; at t = 0.375
+    # the velocities are 2e-3 and 1.5e-3, 5e-4 apart.
+    NEAR_MISS = validate([0.0, 1e-3], [1.0, 1.0], [2e-3, 0.0], [0.0, 4e-3])
+    WIDE = Tolerances(abs_tol=1e-3)
+
+    def runs(self):
+        wide, default = simulate(self.NEAR_MISS, tol=self.WIDE), simulate(self.NEAR_MISS)
+        assert not wide.events and not default.events
+        return wide, default
+
+    def test_timeline_keeps_its_tolerances(self, head_on):
+        assert simulate(head_on).tol == DEFAULT_TOL
+        tl = simulate(head_on, tol=self.WIDE)
+        assert tl.tol is self.WIDE
+        assert inject_velocity_fault(tl).tol is self.WIDE
+
+    def test_velocity_fields(self):
+        wide, default = self.runs()
+        # one atom at 1.75e-3, found from either velocity
+        fields = velocity_space_fields(wide, 0.375)
+        assert fields.tol is self.WIDE and len(fields.mu.atoms) == 1
+        assert fields.w_at(2e-3) == pytest.approx(2e-3)
+        assert fields.a_at(1.5e-3) == pytest.approx(4e-6)
+        fields = velocity_space_fields(default, 0.375)
+        assert len(fields.mu.atoms) == 2
+        assert (fields.w_at(2e-3), fields.a_at(1.5e-3)) == (0.0, 0.0)
+        with pytest.raises(KeyError):
+            fields.w_at(1.75e-3)
+        with pytest.raises(KeyError):
+            fields.a_at(1.75e-3)
+
+    def test_flow_field_and_position_grouping(self):
+        wide, default = self.runs()
+        y = float(wide.positions_at(0.375)[0]) + 2e-4  # off the support
+        assert FlowField(wide).velocity(2e-4, 0.375) == 2e-3
+        assert FlowField(wide).gamma(y, 0.375) == 0.0
+        with pytest.raises(UndefinedFieldPoint):
+            FlowField(default).velocity(2e-4, 0.375)
+        with pytest.raises(UndefinedFieldPoint):
+            FlowField(default).gamma(y, 0.375)
+        assert not conditioning_matches_partition(wide, 0.375)
+        assert conditioning_matches_partition(default, 0.375)
+
+    @pytest.mark.parametrize("suite", [gvp_suite, oracle_suite])
+    def test_suites(self, suite):
+        # at abs_tol 1e-3 the variational cut and the oracle's stepping both
+        # join the pair that the run keeps apart
+        wide, default = self.runs()
+        result = suite(wide, np.random.default_rng(0))
+        assert not result.passed and "((0, 1),)" in result.detail
+        assert suite(default, np.random.default_rng(0)).passed

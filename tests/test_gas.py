@@ -679,7 +679,46 @@ class TestVelocityResiduals:
         assert grouped >= 10
 
 
+def threshold_crossing_loop(tl, interval, t1, t2):
+    """Per-particle reference: at each shock in (t1, t2], the mass whose
+    velocity lies in the closed interval just after it less the mass just
+    before it."""
+    lo, hi = interval
+    m = tl.initial.masses / tl.total_mass
+    total = 0.0
+    for s in tl.event_times:
+        if t1 < s <= min(t2, tl.t_end):
+            right, left = tl.velocities_at(s), tl.velocities_at_left(s)
+            total += float(m @ (((right >= lo) & (right <= hi)).astype(float)
+                                - ((left >= lo) & (left <= hi)).astype(float)))
+    return total
+
+
 class TestThresholdCrossing:
+    def test_matches_per_particle_loop(self):
+        """Windows reaching below 0 included.  Each side sums at most 3N + S
+        rounded terms (S shocks in the window; a life's mass is itself a sum
+        of at most N masses) whose magnitudes total at most 2 per shock."""
+        eps = np.finfo(float).eps
+        cases = [simulate(random_data(seed + 19_000)[0]) for seed in range(60)]
+        cases += [simulate(lattice_instance(seed + 19_100, 3 + seed % 10)) for seed in range(20)]
+        rng = np.random.default_rng(19_200)
+        checked = 0
+        for tl in cases:
+            hi = 1.2 * tl.event_times[-1] if tl.events else 1.0
+            v = tl.sample_velocities(np.linspace(0.0, hi, 50))
+            for _ in range(5):
+                t1, t2 = np.sort(rng.uniform(-0.5 * hi, hi, 2))
+                interval = tuple(np.sort(rng.uniform(v.min(), v.max(), 2)))
+                for window in ((t1, t2), (-1.0, hi)):
+                    got = threshold_crossing_measure(tl, interval, *window)
+                    want = threshold_crossing_loop(tl, interval, *window)
+                    shocks = sum(window[0] < s <= window[1] for s in tl.event_times)
+                    n = tl.initial.n
+                    assert abs(got - want) <= 2 * (3 * n + shocks) * eps * 2 * shocks
+                    checked += want != 0.0
+        assert checked >= 100
+
     def test_no_shock_window(self, timeline_head_on):
         assert threshold_crossing_measure(timeline_head_on, (0.0, 1.0), 1.5, 2.5) == 0.0
 

@@ -88,7 +88,7 @@ class TestClustersFromGvp:
 class TestEquivalence:
     def test_fixture_instances(self, head_on, weighted_pair, triple):
         for data in (head_on, weighted_pair, triple):
-            report = gvp_equivalence_check(data, [0.25, 0.5, 2.0, 3.0])
+            report = gvp_equivalence_check(simulate(data), [0.25, 0.5, 2.0, 3.0])
             assert report.all_match
 
     @pytest.mark.parametrize("seed", range(40))
@@ -96,7 +96,7 @@ class TestEquivalence:
         data, rng = random_data(seed + 5000)
         tl = simulate(data)
         times = sample_times(tl, rng, 5, 1e-6)
-        assert gvp_equivalence_check(data, times, timeline=tl).all_match
+        assert gvp_equivalence_check(tl, times).all_match
 
     def test_case1_mismatch_beyond_second_crossing(self):
         """Increasing acceleration: the interval inequality dies at the second
@@ -109,14 +109,14 @@ class TestEquivalence:
 
         F = GvpFunctional(d, t2 + 0.5)
         assert not interior_condition(F, 0, 1, 1)
-        report = gvp_equivalence_check(d, [t2 + 0.5, t2 + 3.0])
+        report = gvp_equivalence_check(simulate(d), [t2 + 0.5, t2 + 3.0])
         assert not report.all_match
         assert all(e.reconstructed == ((0, 0), (1, 1)) for e in report.entries)
 
         # between the crossings the inequality still holds
         mid = 0.5 * (t1 + t2)
         assert interior_condition(GvpFunctional(d, mid), 0, 1, 1)
-        assert gvp_equivalence_check(d, [mid]).all_match
+        assert gvp_equivalence_check(simulate(d), [mid]).all_match
 
     def test_acceleration_ties_are_admissible_and_match(self):
         # non-increasing with plateaus: runs with no mismatch, ties reported
@@ -126,7 +126,7 @@ class TestEquivalence:
         tl = simulate(d)
         rng = np.random.default_rng(0)
         times = sample_times(tl, rng, 8, 1e-6)
-        report = gvp_equivalence_check(d, times, timeline=tl)
+        report = gvp_equivalence_check(tl, times)
         assert report.all_match
         for e in report.entries:
             assert e.ties == ()  # away from shocks, ties should not appear

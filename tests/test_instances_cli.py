@@ -34,6 +34,24 @@ HEAD_ON = """
 }
 """
 
+# random_instance(np.random.default_rng(265), 12), n = 10
+GVP_TOL_CASE = """
+{
+  "particles": [
+    {"x": 0.3997595271966137, "m": 0.5758771243756396, "v": 0.0931188962734417, "theta": 1.9905000272298035},
+    {"x": 0.8933621870404462, "m": 0.5894306823593027, "v": -0.5299073315990406, "theta": 1.2009345787362207},
+    {"x": 1.8060638683048902, "m": 0.22319590628075978, "v": -1.8061047236775092, "theta": 1.0009917436925593},
+    {"x": 2.0398139377671765, "m": 0.9161096165110336, "v": -2.4007369980557365, "theta": 0.8257066615703299},
+    {"x": 2.511850380870928, "m": 0.17910096081081864, "v": -1.4807437522074003, "theta": 0.7358011365932358},
+    {"x": 4.410494783699952, "m": 0.6344622268301108, "v": 1.0607022923529452, "theta": 0.45327733419402444},
+    {"x": 7.317289878389644, "m": 0.5606010995693286, "v": 0.31518654397646184, "theta": 0.13600054575627896},
+    {"x": 7.812116188516033, "m": 1.544900788436716, "v": -0.7533658568246134, "theta": -0.5356698659231309},
+    {"x": 8.075506568158259, "m": 9.857265045820766, "v": -2.268675842075059, "theta": -1.2777726832039706},
+    {"x": 8.090666547141826, "m": 9.15989915502962, "v": 0.6087087755851013, "theta": -2.349544550164041}
+  ]
+}
+"""
+
 
 class TestInstanceFormat:
     def test_round_trip_is_exact(self):
@@ -134,6 +152,25 @@ class TestCli:
         assert main(["gvp", str(path), "--times", "1.0",
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "non-increasing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gvp_simulates_at_the_given_tolerances(self, tmp_path):
+        """random_instance(default_rng(265), 12): at abs_tol 0.01 the run
+        merges 0-0, 1-1 and 2-3 in one event at t = 0.5795, which the
+        variational cut at 0.585 does not reproduce."""
+        path = tmp_path / "rng265.json"
+        path.write_text(GVP_TOL_CASE)
+        out = tmp_path / "out"
+        assert main(["gvp", str(path), "--tol-abs", "0.01", "--times", "0.585",
+                     "--out-dir", str(out)]) == 1
+        (row,) = (out / "gvp_report.csv").read_text().splitlines()[1:]
+        _, verdict, simulated, reconstructed, _ = row.split(",")
+        assert (verdict, simulated) == ("MISMATCH", "0-3|4-4|5-5|6-8|9-9")
+        assert reconstructed == "0-1|2-3|4-4|5-5|6-8|9-9"
+        assert main(["simulate", str(path), "--tol-abs", "0.01", "--samples", "2",
+                     "--out-dir", str(tmp_path / "sim")]) == 0
+        events = (tmp_path / "sim" / "events.csv").read_text().splitlines()
+        assert events[4].startswith("0.579484200643681,0,3,0-0;1-1;2-3,")
 
     def test_gas_window(self, instance_file, tmp_path):
         out = tmp_path / "out"
