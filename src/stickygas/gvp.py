@@ -10,11 +10,11 @@ reconstructs the partition without ever running the collision dynamics.
 The certification is only guaranteed for non-increasing acceleration
 profiles, and degenerates to equalities exactly at shock times; callers
 sample away from shocks.  Left endpoint k+1 and right endpoint k are the
-same test, so a time has N-1 distinct split margins.  A partition, and its
-tie list, comes from one vectorised pass over the upper triangle of the
-(a, b) average table, a block of rows at a time: O(N^2) arithmetic in numpy
-and O(N) Python.  The per-index endpoint tests stay as the independent,
-O(N)-each reference.
+same test, so a time has N-1 distinct split margins.  Averages are slopes
+between cumulative mass and moment points, so all N-1 margins are read off
+their lower convex hull in O(N) (Brenier & Grenier 1998, "Sticky particles
+and scalar conservation laws").  The per-index endpoint tests stay as the
+independent, O(N)-each reference.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ShockTimeline
-from .errors import InadmissibleData, InconsistentEndpoints, IndexOutOfRange
+from .errors import InadmissibleData, InconsistentEndpoints, IndexOutOfRange, PreconditionViolated
 from .model import InitialData
 from .tolerances import DEFAULT_TOL, Tolerances
-
-_BLOCK = 1 << 13  # average-table entries per row block of split_margins (64 kB per temporary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +44,8 @@ class GvpFunctional:
     def _prefix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         d = self.data
         pm = np.concatenate([[0.0], np.cumsum(d.masses)])
+        if not np.all(np.diff(pm) > 0):  # a mass lost against the running total
+            raise PreconditionViolated("prefix masses do not strictly increase in binary64")
         px = np.concatenate([[0.0], np.cumsum(d.masses * d.positions)])
         pv = np.concatenate([[0.0], np.cumsum(d.masses * d.velocities)])
         pth = np.concatenate([[0.0], np.cumsum(d.masses * d.accelerations)])
@@ -99,29 +99,33 @@ class GvpFunctional:
     def split_margins(self) -> np.ndarray:
         """m[k] = min_{j>k} avg[k+1, j] - max_{i<=k} avg[i, k] for k < N-1.
 
-        Entry k is left_endpoint_margin(k+1) and right_endpoint_margin(k),
-        float for float: the table entries come from _avg on the same prefix
-        differences, and min/max are exact.  Rows are taken a block at a time
-        so the temporaries stay near _BLOCK entries whatever N is."""
-        n = self.data.n
-        pm, px, pv, pth = self._prefix
-        row_min = np.empty(n)
-        col_max = np.full(n, -np.inf)
-        a0 = 0
-        while a0 < n:
-            a1 = min(n, a0 + max(1, _BLOCK // (n - a0)))
-            # table[a - a0, b - a0] = avg over [a, b] for a in [a0, a1), b >= a0
-            with np.errstate(divide="ignore", invalid="ignore"):  # b < a, masked below
-                table = self._avg(pm[a0 + 1:] - pm[a0:a1, None], px[a0 + 1:] - px[a0:a1, None],
-                                  pv[a0 + 1:] - pv[a0:a1, None], pth[a0 + 1:] - pth[a0:a1, None])
-            below = np.tri(a1 - a0, k=-1, dtype=bool)
-            square = table[:, :a1 - a0]
-            square[below] = np.inf
-            row_min[a0:a1] = table.min(axis=1)
-            square[below] = -np.inf
-            np.maximum(col_max[a0:], table.max(axis=0), out=col_max[a0:])
-            a0 = a1
-        return row_min[1:] - col_max[:-1]
+        avg[a, b] is the slope from P_a to P_{b+1}, P_p = (sum_{j<p} m_j,
+        sum_{j<p} m_j eta_t(x_j)): the max sits at P_{k+1}'s predecessor on the
+        lower hull of P_0..P_{k+1}, the min at its successor on the hull of
+        P_{k+1}..P_N (Brenier & Grenier 1998), one O(N) monotone-chain sweep
+        each.  Popping compares _avg floats, not cross products (which can rank
+        nearly collinear points apart from them), so entry k is
+        left_endpoint_margin(k+1) float for float; only at shock times may
+        exactly collinear points round apart by a few ulps."""
+        n, t = self.data.n, float(self.t)
+        h = 0.5 * t * t
+        pm, px, pv, pth = (p.tolist() for p in self._prefix)
+
+        def avg(a: int, b: int) -> float:  # _avg over [a, b-1], on Python floats
+            return (px[b] - px[a] + t * (pv[b] - pv[a]) + h * (pth[b] - pth[a])) / (pm[b] - pm[a])
+
+        def sweep(order, value) -> list[float]:  # max of value(q, p) over q before p
+            best, hull = [], [order[0]]
+            for p in order[1:]:
+                while len(hull) > 1 and value(hull[-1], p) <= value(hull[-2], p):
+                    hull.pop()
+                best.append(value(hull[-1], p))
+                hull.append(p)
+            return best
+
+        lefts = sweep(range(n), avg)  # max_{i<=k} avg[i, k]
+        neg_rights = sweep(range(n, 0, -1), lambda q, p: -avg(p, q))  # k = N-2 down to 0
+        return np.subtract([-r for r in reversed(neg_rights)], lefts)
 
 
 def interior_condition(F: GvpFunctional, g: int, d: int, y: int) -> bool:

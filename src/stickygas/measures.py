@@ -56,8 +56,3 @@ class DiscreteMeasure:
 
     def is_probability(self, tol: float = 1e-12) -> bool:
         return all(w > 0 for _, w in self.atoms) and abs(self.total() - 1.0) <= tol
-
-    def minus(self, other: "DiscreteMeasure", tol: Tolerances = DEFAULT_TOL) -> "DiscreteMeasure":
-        """Signed difference self - other, coalesced."""
-        combined = list(self.atoms) + [(x, -w) for x, w in other.atoms]
-        return DiscreteMeasure(tuple(combined)).coalesced(tol)

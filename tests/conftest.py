@@ -68,6 +68,18 @@ def lattice_instance(seed, n):
                     rng.integers(-2, 3, n).astype(float), rng.integers(-1, 2, n).astype(float))
 
 
+def random_family(n):
+    """Admissible random instance of size n: sorted-uniform positions on
+    [0, n], log-uniform masses, normal velocities, normal accelerations
+    sorted descending."""
+    rng = np.random.default_rng([11, n])
+    x = np.sort(rng.uniform(0.0, float(n), n))
+    m = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    v = rng.normal(0.0, 1.0, n)
+    th = np.sort(rng.normal(0.0, 1.0, n))[::-1]
+    return validate(x, m, v, th)
+
+
 @pytest.fixture
 def timeline_head_on(head_on):
     return simulate(head_on)

