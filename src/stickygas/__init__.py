@@ -11,7 +11,6 @@ from .dynamics import (
     ShockEvent,
     ShockTimeline,
     brute_force_partitions,
-    next_collision,
     simulate,
 )
 from .errors import StickyError
@@ -71,7 +70,6 @@ __all__ = [
     "is_left_endpoint",
     "is_right_endpoint",
     "lemma_quadratic_dominance",
-    "next_collision",
     "position_space_residuals",
     "quadratic_meet_times",
     "right_derivative_check",

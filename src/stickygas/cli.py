@@ -233,7 +233,7 @@ def cmd_gas(args) -> int:
     xs = np.concatenate([timeline.positions_at(t1), timeline.positions_at(t2)])
     pos_fs = covering_test_functions(xs, pad=0.5 * (1.0 + float(np.ptp(xs))))
     vs = np.concatenate([timeline.velocities_at(t1), timeline.velocities_at(t2),
-                         timeline.velocities_at_left(t2)])
+                         timeline.velocities_at(t2, left=True)])
     vel_fs = covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs))))
 
     pos_rows, vel_rows = [], []

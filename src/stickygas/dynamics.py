@@ -9,16 +9,17 @@ again, and entries of pairs that no longer exist are dropped when they reach
 the top.  Every pair within the time-scaled grouping tolerance of the
 earliest one is popped together and the popped pairs are split into
 connected runs, which merge in one step (multi-cluster pile-ups included) --
-the same grouping as the full rescan `next_collision`, kept as the reference.
-After a merge the new path is re-derived from the initial data via the
-barycentric formula -- never by local continuation -- so floating-point
-drift cannot desynchronize paths from aggregates.
+the same grouping as a full rescan of every adjacent pair (the tests keep
+that rescan as the reference).  After a merge the new path is re-derived
+from the initial data via the barycentric formula -- never by local
+continuation -- so floating-point drift cannot desynchronize paths from
+aggregates.
 
 Clusters only ever merge, so a run is a merge tree of at most 2N-1
 clusters, each alive on a range of consecutive inter-shock segments.  The
-timeline stores those lives and the segment bounds; a segment's clusters,
-column arrays and partition (its clusters' index intervals) are built when a
-query asks for them.
+timeline stores only those lives, their read-only column arrays and the
+segment bounds.  A query at a time finds the rows alive there and reads the
+lives and columns at those rows; nothing is stored per segment.
 
 `brute_force_partitions` provides an independent oracle: explicit time
 stepping that merges whenever adjacent barycenters touch or cross at a step
@@ -37,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -47,8 +48,6 @@ from .errors import IdenticalPaths, TimeOutOfRange
 from .model import Cluster, InitialData, interval_path, make_cluster, validate
 from .quadratics import QuadraticPath, quadratic_meet_times
 from .tolerances import DEFAULT_TOL, Tolerances
-
-_VIEW_LIVES = 1 << 16  # bound on the lives held by a timeline's kept segment views
 
 
 @dataclass(frozen=True)
@@ -74,84 +73,26 @@ class Life(NamedTuple):
     last: int
 
 
-class Segment(NamedTuple):
-    """Inter-shock window [t_lo, t_hi) (last segment closed at t_end): the
-    lives alive on it, in particle-index order, and their column arrays."""
+class Columns(NamedTuple):
+    """Read-only arrays over the lives, row for row: the segment range, the
+    cluster's size and mass, and its path coefficients (c2 is the cluster's
+    acceleration)."""
 
-    t_lo: float
-    t_hi: float
-    lives: tuple[Life, ...]
-    size: np.ndarray   # particles per cluster
+    first: np.ndarray
+    last: np.ndarray
+    size: np.ndarray
     mass: np.ndarray
-    theta: np.ndarray  # cluster accelerations
-    c0: np.ndarray     # path coefficients
+    c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-
-    @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        return tuple(life.cluster for life in self.lives)
-
-    @property
-    def paths(self) -> tuple[QuadraticPath, ...]:
-        return tuple(life.path for life in self.lives)
-
-
-@dataclass(frozen=True)
-class PendingEvent:
-    time: float
-    groups: tuple[tuple[int, ...], ...]  # cluster indices per merge group
-
-
-def next_collision(
-    paths: Sequence[QuadraticPath],
-    t_now: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> PendingEvent | None:
-    """Earliest future crossing among adjacent cluster paths, grouped.
-
-    Returns None when no adjacent pair ever meets again.  Pairs whose
-    crossing falls within tol.event_tol of the earliest time are grouped
-    into connected runs, giving the simultaneous multi-cluster merges.
-    This full rescan solves every adjacent pair; `simulate` reaches the same
-    grouping incrementally, and this function is its reference.
-    """
-    k_pairs = len(paths) - 1
-    if k_pairs < 1:
-        return None
-    candidates: list[tuple[float, int]] = []
-    for k in range(k_pairs):
-        try:
-            roots = quadratic_meet_times(paths[k], paths[k + 1], after=t_now, tol=tol)
-        except IdenticalPaths:
-            # coincident paths: already in contact, merge immediately
-            candidates.append((t_now, k))
-            continue
-        if roots:
-            candidates.append((roots[0].time, k))
-    if not candidates:
-        return None
-    t_star = min(t for t, _ in candidates)
-    eps = tol.event_tol(t_star)
-    chosen = sorted(k for t, k in candidates if t <= t_star + eps)
-    groups: list[tuple[int, ...]] = []
-    run = [chosen[0], chosen[0] + 1]
-    for k in chosen[1:]:
-        if k == run[-1]:
-            run.append(k + 1)
-        else:
-            groups.append(tuple(run))
-            run = [k, k + 1]
-    groups.append(tuple(run))
-    return PendingEvent(t_star, tuple(groups))
 
 
 @dataclass(frozen=True, eq=False)
 class ShockTimeline:
     """A run as a merge tree: segment i is [bounds[i], bounds[i+1]), and each
     of the at most 2N-1 lives is one cluster over a range of segments.  Lives
-    are sorted by left particle index, then by first segment, so a mask
-    picks a segment's lives in particle-index order.  `tol` is the policy
+    are sorted by left particle index, then by first segment, so the rows
+    alive on a segment are in particle-index order.  `tol` is the policy
     the run was built under; every check on the timeline compares with it."""
 
     initial: InitialData
@@ -160,18 +101,19 @@ class ShockTimeline:
     bounds: tuple[float, ...]
     lives: tuple[Life, ...]
     tol: Tolerances
-    _views: dict[int, Segment] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def event_times(self) -> tuple[float, ...]:
         return tuple(e.time for e in self.events)
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """Arrays over the lives: first, last, size, mass, theta, c0, c1, c2."""
-        return tuple(map(np.array, zip(*(
-            (x.first, x.last, x.cluster.size, x.cluster.mass, x.cluster.acceleration,
-             x.path.c0, x.path.c1, x.path.c2) for x in self.lives))))
+    def columns(self) -> Columns:
+        arrays = list(map(np.array, zip(*(
+            (x.first, x.last, x.cluster.size, x.cluster.mass, x.path.c0, x.path.c1, x.path.c2)
+            for x in self.lives))))
+        for a in arrays:
+            a.flags.writeable = False
+        return Columns(*arrays)
 
     @property
     def n_segments(self) -> int:
@@ -182,71 +124,39 @@ class ShockTimeline:
         return self.initial.total_mass
 
     def _check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.t_end:
-            raise TimeOutOfRange(f"t={t} outside [0, {self.t_end}]")
+        if not (0.0 <= t <= self.t_end and math.isfinite(t)):
+            raise TimeOutOfRange(f"t={t} outside [0, {self.t_end}] or not finite")
 
-    def segment(self, i: int) -> Segment:
-        """Segment i, its lives picked from the columns by one mask.
+    def segment_rows(self, i: int) -> np.ndarray:
+        """Rows of `lives` (and `columns`) alive on segment i, in particle
+        order: their clusters tile 0..N-1."""
+        if not 0 <= i < self.n_segments:
+            raise IndexError(f"no segment {i} of {self.n_segments}")
+        c = self.columns
+        return ((c.first <= i) & (c.last >= i)).nonzero()[0]
 
-        Views are kept, so a repeated query is a lookup; their arrays are
-        read-only.  A view holds at most N lives, so keeping at most
-        _VIEW_LIVES // N of them (all dropped when full) bounds the memory."""
-        view = self._views.get(i)
-        if view is None:
-            if not 0 <= i < self.n_segments:
-                raise IndexError(f"no segment {i} of {self.n_segments}")
-            first, last, *columns = self.columns
-            rows = ((first <= i) & (last >= i)).nonzero()[0]
-            columns = [c[rows] for c in columns]
-            for c in columns:
-                c.flags.writeable = False
-            if len(self._views) >= max(1, _VIEW_LIVES // self.initial.n):
-                self._views.clear()
-            lives = tuple(map(self.lives.__getitem__, rows.tolist()))
-            view = self._views[i] = Segment(self.bounds[i], self.bounds[i + 1], lives, *columns)
-        return view
-
-    def segment_at(self, t: float) -> Segment:
-        """Segment containing t under the right-continuous convention."""
+    def rows_at(self, t: float, left: bool = False) -> np.ndarray:
+        """Rows alive at t under the right-continuous convention, or those
+        giving the left limit at t when `left` (the same rows at non-events)."""
         self._check_time(t)
-        return self.segment(max(bisect_right(self.bounds, t, hi=self.n_segments) - 1, 0))
-
-    def segment_before(self, t: float) -> Segment:
-        """Segment giving the left limit at t (the segment itself at non-events)."""
-        self._check_time(t)
-        return self.segment(max(bisect_left(self.bounds, t, hi=self.n_segments) - 1, 0))
+        find = bisect_left if left else bisect_right
+        return self.segment_rows(max(find(self.bounds, t, hi=self.n_segments) - 1, 0))
 
     def partition_at(self, t: float) -> tuple[tuple[int, int], ...]:
         """The (left, right) index intervals of the clusters at t, in order."""
-        return tuple(life.cluster.interval for life in self.segment_at(t).lives)
+        return tuple(self.lives[r].cluster.interval for r in self.rows_at(t).tolist())
 
-    def _per_particle(self, seg: Segment, t: float, kind: str) -> np.ndarray:
-        if kind == "x":
-            values = seg.c0 + t * (seg.c1 + 0.5 * t * seg.c2)
-        elif kind == "v":
-            values = seg.c1 + t * seg.c2
-        else:
-            values = seg.theta
-        # the segment's clusters tile 0..N-1 in order
-        return np.repeat(values, seg.size)
+    def positions_at(self, t: float, left: bool = False) -> np.ndarray:
+        c, rows = self.columns, self.rows_at(t, left)
+        return np.repeat(c.c0[rows] + t * (c.c1[rows] + 0.5 * t * c.c2[rows]), c.size[rows])
 
-    def positions_at(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_at(t), t, "x")
+    def velocities_at(self, t: float, left: bool = False) -> np.ndarray:
+        c, rows = self.columns, self.rows_at(t, left)
+        return np.repeat(c.c1[rows] + t * c.c2[rows], c.size[rows])
 
-    def velocities_at(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_at(t), t, "v")
-
-    def accelerations_at(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_at(t), t, "a")
-
-    def positions_at_left(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_before(t), t, "x")
-
-    def velocities_at_left(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_before(t), t, "v")
-
-    def accelerations_at_left(self, t: float) -> np.ndarray:
-        return self._per_particle(self.segment_before(t), t, "a")
+    def accelerations_at(self, t: float, left: bool = False) -> np.ndarray:
+        c, rows = self.columns, self.rows_at(t, left)
+        return np.repeat(c.c2[rows], c.size[rows])
 
     def sample_positions(self, ts: Sequence[float]) -> np.ndarray:
         return self._sample(ts, QuadraticPath.__call__)
@@ -259,11 +169,12 @@ class ShockTimeline:
         of the sorted sample times, in the order of `lives`.
 
         Segment i holds the times in [t_lo, t_hi), the last segment closed, so
-        a time belongs to the segment `segment_at` picks, and a zero-length
+        a time belongs to the segment `rows_at` picks, and a zero-length
         segment holds none.  A life covers the rows of its segments, one
-        contiguous range."""
-        if tsorted.size and not ((tsorted >= 0.0) & (tsorted <= self.t_end)).all():
-            raise TimeOutOfRange("sample times outside [0, t_end]")
+        contiguous range.  Times must be finite and in [0, t_end]."""
+        if tsorted.size and not ((tsorted >= 0.0) & (tsorted <= self.t_end)
+                                 & np.isfinite(tsorted)).all():
+            raise TimeOutOfRange("sample times outside [0, t_end] or not finite")
         firsts = np.searchsorted(tsorted, self.bounds[:-1], "left")
         stops = np.searchsorted(tsorted, self.bounds[1:], "left")
         stops[-1] = np.searchsorted(tsorted, self.bounds[-1], "right")

@@ -61,7 +61,8 @@ class FlowField:
         return float(self.timeline.accelerations_at(t)[self._index_of(x0)])
 
     def _life_at(self, y: float, t: float) -> Life:
-        for life in self.timeline.segment_at(t).lives:
+        for r in self.timeline.rows_at(t).tolist():
+            life = self.timeline.lives[r]
             if abs(life.path(t) - y) <= self.timeline.tol.abs_tol:
                 return life
         raise UndefinedFieldPoint(f"{y} is not in the support at t={t}")
@@ -100,10 +101,10 @@ def dermoune_identity_residuals(timeline: ShockTimeline, t: float) -> IdentityRe
     from direct compensated sums over the initial data; at the discrete level
     the identities are exact barycenter identities, so residuals measure the
     engine's arithmetic consistency."""
-    seg = timeline.segment_at(t)
     r_pos = r_vel = r_acc = 0.0
     s_pos = s_vel = s_acc = 0.0
-    for cluster, path, *_ in seg.lives:
+    for r in timeline.rows_at(t).tolist():
+        cluster, path, *_ = timeline.lives[r]
         pos, vel, acc = _cluster_sums(timeline, cluster, t)
         r_pos = max(r_pos, abs(path(t) - pos))
         r_vel = max(r_vel, abs(path.derivative(t) - vel))
@@ -155,12 +156,12 @@ def right_derivative_check(
     h/2 times the cluster acceleration; velocities are affine, so their
     quotient is exact up to rounding.  Probes whose step crosses a shock are
     marked and carry no accuracy claim (the cluster changes under them)."""
-    seg = timeline.segment_at(t)
     gap = timeline.time_to_next_event(t)
     ref_vel = np.empty(timeline.initial.n)
     ref_acc = np.empty(timeline.initial.n)
     pred = np.empty(timeline.initial.n)
-    for cluster in seg.clusters:
+    for r in timeline.rows_at(t).tolist():
+        cluster = timeline.lives[r].cluster
         g, d = cluster.interval
         _, vel, acc = _cluster_sums(timeline, cluster, t)
         ref_vel[g : d + 1] = vel
@@ -218,11 +219,11 @@ def cadlag_probes(timeline: ShockTimeline, eps: float = 1e-9) -> list[CadlagProb
     for s in timeline.event_times:
         if s + eps > timeline.t_end:
             continue
-        x, xl = timeline.positions_at(s), timeline.positions_at_left(s)
+        x, xl = timeline.positions_at(s), timeline.positions_at(s, left=True)
         v, vr, vl = (timeline.velocities_at(s), timeline.velocities_at(s + eps),
-                     timeline.velocities_at_left(s))
+                     timeline.velocities_at(s, left=True))
         a, ar, al = (timeline.accelerations_at(s), timeline.accelerations_at(s + eps),
-                     timeline.accelerations_at_left(s))
+                     timeline.accelerations_at(s, left=True))
         out.append(CadlagProbe(
             s,
             float(np.abs(xl - x).max()),

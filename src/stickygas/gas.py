@@ -12,19 +12,21 @@ signed jump measures collected at the shock times inside the window enter
 the right-hand side; residuals are reported with and without them.
 
 One kernel serves both systems.  Its state Y is the position X (rate V,
-forcing Gamma) or the velocity V (rate Gamma, no forcing).  The endpoint
-terms E[f(Y)] and E[f(Y) rate] are mass-weighted sums over the clusters at
-t1 and at t2.  Every other term is a sum over the at most 2N-1 lives of the
-merge tree, each on one quadratic path (E, Rykov & Sinai 1996; Brenier &
-Grenier 1998): a jump adds the lives born at a shock in (t1, t2] and
-subtracts those that end there, and E[f'(Y) rate], E[f'(Y) rate^2] and
-E[f(Y) Gamma] are integrated over each life's span inside [t1, t2].  Inside
-these expectations the conditioning on the velocity collapses (tower
-property), so the residuals never group clusters by velocity; the grouping
-(VelocityFields) is kept for what needs the conditional variance: congestion
-samples and the initial-limit and continuity checks.  The shock-time
-quantities (jump measures, force jumps, threshold crossings) read the same
-born and ended lives as the residual jumps.
+forcing Gamma) or the velocity V (rate Gamma, no forcing); Gamma is a
+cluster path's c2.  Every term reads the timeline's column arrays.  The
+endpoint terms E[f(Y)] and E[f(Y) rate] are mass-weighted sums over the
+rows alive at t1 and at t2 (`ShockTimeline.rows_at`).  Every other term is
+a sum over the at most 2N-1 lives of the merge tree, each on one quadratic
+path (E, Rykov & Sinai 1996; Brenier & Grenier 1998): a jump adds the lives
+born at a shock in (t1, t2] and subtracts those that end there, and
+E[f'(Y) rate], E[f'(Y) rate^2] and E[f(Y) Gamma] are integrated over each
+life's span inside [t1, t2].  Inside these expectations the conditioning on
+the velocity collapses (tower property), so the residuals never group
+clusters by velocity; the grouping (VelocityFields) is kept for what needs
+the conditional variance: congestion samples and the initial-limit and
+continuity checks.  The shock-time quantities (jump measures, force jumps,
+threshold crossings) read the same born and ended lives as the residual
+jumps.
 
 A life's span is split only where its own Y crosses a knot of the test
 function.  On each piece every integrand is a polynomial in t (degree <= 12
@@ -93,8 +95,9 @@ class ResidualReport:
 
 
 def _check_window(timeline: ShockTimeline, t1: float, t2: float) -> None:
-    if not 0.0 < t1 < t2 <= timeline.t_end:
-        raise WindowOutOfRange(f"need 0 < t1 < t2 <= {timeline.t_end}, got ({t1}, {t2})")
+    if not (0.0 < t1 < t2 <= timeline.t_end and math.isfinite(t2)):
+        raise WindowOutOfRange(
+            f"need 0 < t1 < t2 <= {timeline.t_end}, t2 finite, got ({t1}, {t2})")
 
 
 def _knot_crossings(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
@@ -141,19 +144,19 @@ def _gauss_legendre(a: np.ndarray, b: np.ndarray,
 # One kernel for both systems (see the module docstring)
 
 
-def _state(t, theta, c0, c1, c2, velocity: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Y and its rate dY/dt at times t on the paths of clusters with
-    acceleration theta (t broadcasts against the coefficients)."""
+def _state(t, c0, c1, c2, velocity: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Y and its rate dY/dt at times t on the paths c0 + c1 t + c2 t^2 / 2,
+    c2 being the cluster acceleration (t broadcasts against the
+    coefficients)."""
     if velocity:
-        return c1 + t * c2, theta
+        return c1 + t * c2, c2
     return c0 + t * (c1 + 0.5 * t * c2), c1 + t * c2
 
 
-def _moments(f: TestFunction, t, wgt, theta, c0, c1, c2,
-             velocity: bool) -> tuple[float, float]:
+def _moments(f: TestFunction, t, wgt, c0, c1, c2, velocity: bool) -> tuple[float, float]:
     """Sums of wgt f(Y) and wgt f(Y) rate over clusters, at time t (one for
     all or one per cluster)."""
-    y, rate = _state(t, theta, c0, c1, c2, velocity)
+    y, rate = _state(t, c0, c1, c2, velocity)
     fy = f(y)
     return float(wgt @ fy), float(wgt @ (fy * rate))
 
@@ -164,7 +167,7 @@ def _shock_lives(timeline: ShockTimeline, t1: float, t2: float
     their rows in `timeline.columns`, the time of each row's shock, and its
     sign (+1 born, -1 ended).  A life of segment 0 is born at no shock (t1
     may be <= 0), and a life alive at t_end ends at none."""
-    first, last = timeline.columns[:2]
+    first, last = timeline.columns.first, timeline.columns.last
     bounds = np.asarray(timeline.bounds)
     born, ends = bounds[first], bounds[last + 1]
     births = (first > 0) & (t1 < born) & (born <= t2)
@@ -184,37 +187,37 @@ def _weak_form(
     Positions are continuous through shocks and momentum is conserved, so the
     position-space jumps vanish and are not summed."""
     _check_window(timeline, t1, t2)
-    M = timeline.total_mass
-    seg2, seg1 = timeline.segment_at(t2), timeline.segment_at(t1)
-    at2 = _moments(f, t2, seg2.mass / M, *seg2[5:], velocity)  # theta, c0, c1, c2
-    at1 = _moments(f, t1, seg1.mass / M, *seg1[5:], velocity)
+    c = timeline.columns
+    wgt = c.mass / timeline.total_mass
+    path = (c.c0, c.c1, c.c2)
+    r2, r1 = timeline.rows_at(t2), timeline.rows_at(t1)
+    at2 = _moments(f, t2, wgt[r2], *(p[r2] for p in path), velocity)
+    at1 = _moments(f, t1, wgt[r1], *(p[r1] for p in path), velocity)
     lhs = (at2[0] - at1[0], at2[1] - at1[1])
 
-    first, last, _, mass, *path = timeline.columns  # path: theta, c0, c1, c2
-    wgt = mass / M
     bounds = np.asarray(timeline.bounds)
-    born, ends = bounds[first], bounds[last + 1]
+    born, ends = bounds[c.first], bounds[c.last + 1]
     jumps = (0.0, 0.0)
     if velocity:
         rows, times, sign = _shock_lives(timeline, t1, t2)
-        jumps = _moments(f, times, sign * wgt[rows], *(c[rows] for c in path), velocity)
+        jumps = _moments(f, times, sign * wgt[rows], *(p[rows] for p in path), velocity)
 
     # each life's span inside [t1, t2] (empty outside it), cut at its own
     # crossings; nan sorts last and empty pieces drop out
     lo = np.maximum(born, t1)
     hi = np.maximum(np.minimum(ends, t2), lo)
-    theta, c0, c1, c2 = path
-    crossings = _knot_crossings(*((c1, c2, np.zeros_like(c2)) if velocity else (c0, c1, c2)),
+    c0, c1, c2 = path
+    crossings = _knot_crossings(*((c1, c2, np.zeros_like(c2)) if velocity else path),
                                 f.knots, lo, hi)
     cuts = np.sort(np.column_stack([lo, crossings, hi]), axis=1)
     rows, cols = (cuts[:, 1:] > cuts[:, :-1]).nonzero()
     a, b = cuts[rows, cols], cuts[rows, cols + 1]
-    theta, c0, c1, c2, w = (c[rows, None] for c in (theta, c0, c1, c2, wgt))
-    y, rate = _state(_gauss_nodes(a, b), theta, c0, c1, c2, velocity)
+    c0, c1, c2, w = (x[rows, None] for x in (c0, c1, c2, wgt))
+    y, rate = _state(_gauss_nodes(a, b), c0, c1, c2, velocity)
     flux = f.prime(y) * rate
     values = [w * flux, w * (flux * rate)]
     if not velocity:
-        values.append(w * (f(y) * theta))
+        values.append(w * (f(y) * c2))
     return lhs, jumps, _gauss_legendre(a, b, values)
 
 
@@ -300,9 +303,10 @@ def _group_velocity_atoms(
 def velocity_space_fields(timeline: ShockTimeline, t: float) -> VelocityFields:
     """Law of the velocity process at t (right-continuous) with the
     conditional mean / variance of the cluster acceleration given velocity."""
-    seg = timeline.segment_at(t)
-    mu, w, a = _group_velocity_atoms(seg.c1 + t * seg.c2, seg.mass / timeline.total_mass,
-                                     seg.theta, timeline.tol)
+    c, rows = timeline.columns, timeline.rows_at(t)
+    gamma = c.c2[rows]
+    mu, w, a = _group_velocity_atoms(c.c1[rows] + t * gamma, c.mass[rows] / timeline.total_mass,
+                                     gamma, timeline.tol)
     return VelocityFields(t, mu, w, a, timeline.tol)
 
 
@@ -333,9 +337,9 @@ def jump_measure(timeline: ShockTimeline, s: float) -> DiscreteMeasure:
     timeline._check_time(s)
     # (the float before s, s] holds the shock at s and no other
     rows, times, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
-    _, _, _, mass, _, _, c1, c2 = timeline.columns
-    v = c1[rows] + times * c2[rows]
-    w = sign * mass[rows] / timeline.total_mass
+    c = timeline.columns
+    v = c.c1[rows] + times * c.c2[rows]
+    w = sign * c.mass[rows] / timeline.total_mass
     return DiscreteMeasure.from_pairs(zip(v.tolist(), w.tolist())).coalesced(timeline.tol)
 
 
@@ -344,8 +348,8 @@ def force_jump_total(timeline: ShockTimeline, s: float) -> float:
     (tower property); zero when force is conserved."""
     timeline._check_time(s)
     rows, _, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
-    _, _, _, mass, theta, *_ = timeline.columns
-    return float((sign * mass[rows] / timeline.total_mass) @ theta[rows])
+    c = timeline.columns
+    return float((sign * c.mass[rows] / timeline.total_mass) @ c.c2[rows])
 
 
 def threshold_crossing_measure(
@@ -360,10 +364,10 @@ def threshold_crossing_measure(
     if not t1 < t2:
         raise WindowOutOfRange(f"need t1 < t2, got ({t1}, {t2})")
     rows, times, sign = _shock_lives(timeline, t1, t2)
-    _, _, _, mass, _, _, c1, c2 = timeline.columns
-    v = c1[rows] + times * c2[rows]
+    c = timeline.columns
+    v = c.c1[rows] + times * c.c2[rows]
     inside = (v >= lo) & (v <= hi)
-    return float((sign * mass[rows] / timeline.total_mass) @ inside)
+    return float((sign * c.mass[rows] / timeline.total_mass) @ inside)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +383,8 @@ def velocity_coincidence_times(
     nonzero away from shocks."""
     if t_max is None:
         t_max = horizon_of(timeline)
-    first, last, *_, c1, c2 = timeline.columns
+    c = timeline.columns
+    first, last, c1, c2 = c.first, c.last, c.c1, c.c2
     bounds = np.asarray(timeline.bounds)
     found = [np.empty(0)]
     # Lives a < b coexist on segments lo..hi; tc counts strictly inside one of

@@ -93,10 +93,11 @@ def conservation_suite(
             return SuiteResult("conservation", False,
                                f"cluster {c.interval} mass drifted from its member sum")
     force_scale = 1.0 + abs(force0)
+    cols = timeline.columns
     for i in range(timeline.n_segments):  # totals summed left to right
-        seg = timeline.segment(i)
+        rows = timeline.segment_rows(i)
         seg_total = seg_force = 0.0
-        for mass, theta in zip(seg.mass.tolist(), seg.theta.tolist()):
+        for mass, theta in zip(cols.mass[rows].tolist(), cols.c2[rows].tolist()):
             seg_total += mass
             seg_force += mass * theta
         if abs(seg_total - data.total_mass) > 1e-14 * data.total_mass:

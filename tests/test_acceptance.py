@@ -216,7 +216,7 @@ def test_criterion_07_velocity_space_weak_solution():
         t_next = tl.event_times[1] if len(tl.event_times) > 1 else t_first + 1.0
         t1, t2 = 0.5 * t_first, 0.5 * (t_first + t_next)
         vs = np.concatenate([tl.velocities_at(t1), tl.velocities_at(t2),
-                             tl.velocities_at_left(t2)])
+                             tl.velocities_at(t2, left=True)])
         for f in covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs)))):
             for r in velocity_space_residuals(tl, f, t1, t2):
                 if abs(r.residual) > 1e-8:

@@ -319,3 +319,10 @@ class TestDiscreteMeasure:
         diff = DiscreteMeasure.from_pairs([(0.0, 1.0), (0.0, -0.25), (1.0, -0.75)]).coalesced()
         assert diff.atoms == ((0.0, 0.75), (1.0, -0.75))
         assert abs(diff.total()) < 1e-15
+
+
+def test_every_export_resolves():
+    import stickygas
+
+    assert [name for name in stickygas.__all__ if not hasattr(stickygas, name)] == []
+    assert len(set(stickygas.__all__)) == len(stickygas.__all__)

@@ -1,6 +1,9 @@
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,15 +13,15 @@ import stickygas.model as model
 from stickygas import (
     FlowField,
     brute_force_partitions,
-    next_collision,
     simulate,
     validate,
     velocity_space_fields,
 )
-from stickygas.errors import TimeOutOfRange, UndefinedFieldPoint
+from stickygas.errors import IdenticalPaths, TimeOutOfRange, UndefinedFieldPoint
 from stickygas.flow import conditioning_matches_partition
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster
+from stickygas.quadratics import QuadraticPath, quadratic_meet_times
 from stickygas.tolerances import DEFAULT_TOL, Tolerances
 from stickygas.verify import (
     conservation_suite,
@@ -28,6 +31,58 @@ from stickygas.verify import (
     sample_times,
 )
 from tests.conftest import lattice_instance, random_data, random_family, tiles
+
+
+# The full-rescan reference of the scheduler: every adjacent pair solved at
+# every step.
+
+@dataclass(frozen=True)
+class PendingEvent:
+    time: float
+    groups: tuple[tuple[int, ...], ...]  # cluster indices per merge group
+
+
+def next_collision(
+    paths: Sequence[QuadraticPath],
+    t_now: float,
+    tol: Tolerances = DEFAULT_TOL,
+) -> PendingEvent | None:
+    """Earliest future crossing among adjacent cluster paths, grouped.
+
+    Returns None when no adjacent pair ever meets again.  Pairs whose
+    crossing falls within tol.event_tol of the earliest time are grouped
+    into connected runs, giving the simultaneous multi-cluster merges.
+    This full rescan solves every adjacent pair; `simulate` reaches the same
+    grouping incrementally, and this function is its reference.
+    """
+    k_pairs = len(paths) - 1
+    if k_pairs < 1:
+        return None
+    candidates: list[tuple[float, int]] = []
+    for k in range(k_pairs):
+        try:
+            roots = quadratic_meet_times(paths[k], paths[k + 1], after=t_now, tol=tol)
+        except IdenticalPaths:
+            # coincident paths: already in contact, merge immediately
+            candidates.append((t_now, k))
+            continue
+        if roots:
+            candidates.append((roots[0].time, k))
+    if not candidates:
+        return None
+    t_star = min(t for t, _ in candidates)
+    eps = tol.event_tol(t_star)
+    chosen = sorted(k for t, k in candidates if t <= t_star + eps)
+    groups: list[tuple[int, ...]] = []
+    run = [chosen[0], chosen[0] + 1]
+    for k in chosen[1:]:
+        if k == run[-1]:
+            run.append(k + 1)
+        else:
+            groups.append(tuple(run))
+            run = [k, k + 1]
+    groups.append(tuple(run))
+    return PendingEvent(t_star, tuple(groups))
 
 
 def rescan_simulate(data, t_end=math.inf):
@@ -58,9 +113,15 @@ def rescan_simulate(data, t_end=math.inf):
 def engine_tables(timeline):
     events = [(e.time, [(list(grp.members), grp.merged, grp.path) for grp in e.groups])
               for e in timeline.events]
-    segments = [(s.t_lo, s.t_hi, list(s.clusters), list(s.paths))
-                for s in map(timeline.segment, range(timeline.n_segments))]
+    segments = [(timeline.bounds[i], timeline.bounds[i + 1], *segment_lives(timeline, i))
+                for i in range(timeline.n_segments)]
     return events, segments
+
+
+def segment_lives(timeline, i):
+    """The clusters and paths of the lives at the rows of segment i."""
+    lives = [timeline.lives[r] for r in timeline.segment_rows(i).tolist()]
+    return [x.cluster for x in lives], [x.path for x in lives]
 
 
 def alternating_row(n):
@@ -99,7 +160,7 @@ class TestSimulate:
     def test_finite_horizon_cuts_events(self, head_on):
         tl = simulate(head_on, t_end=0.5)
         assert tl.events == ()
-        assert tl.segment(tl.n_segments - 1).t_hi == 0.5
+        assert tl.bounds[tl.n_segments] == 0.5
         with pytest.raises(TimeOutOfRange):
             tl.positions_at(0.6)
 
@@ -108,7 +169,7 @@ class TestSimulate:
             data, _ = random_data(seed)
             tl = simulate(data)
             assert len(tl.events) <= data.n - 1
-            counts = [len(tl.segment(i).lives) for i in range(tl.n_segments)]
+            counts = [len(tl.segment_rows(i)) for i in range(tl.n_segments)]
             assert counts == sorted(counts, reverse=True)
             assert all(a > b for a, b in zip(counts, counts[1:]))
 
@@ -206,38 +267,40 @@ def query_times(tl):
 
 
 def check_lives(data, t_end=math.inf):
-    """The merge-tree timeline against the snapshot of every segment."""
+    """The merge-tree timeline against the snapshot of every segment: the
+    rows of each segment, and the rows at every query time, from the left
+    and from the right."""
     tl = simulate(data, t_end)
     _, snapshots = rescan_simulate(data, t_end)
     assert len(tl.lives) <= 2 * data.n - 1
     assert tl.n_segments == len(snapshots)
-    for i in range(tl.n_segments):
-        seg = tl.segment(i)
-        tiles(tuple(c.interval for c in seg.clusters), data.n)
-        for col, values in ((seg.size, [c.size for c in seg.clusters]),
-                            (seg.mass, [c.mass for c in seg.clusters]),
-                            (seg.theta, [c.acceleration for c in seg.clusters]),
-                            (seg.c0, [p.c0 for p in seg.paths]),
-                            (seg.c1, [p.c1 for p in seg.paths]),
-                            (seg.c2, [p.c2 for p in seg.paths])):
-            assert col.tolist() == values
+    cols = tl.columns
+    for i, (t_lo, t_hi, clusters, paths) in enumerate(snapshots):
+        assert (tl.bounds[i], tl.bounds[i + 1]) == (t_lo, t_hi)
+        assert segment_lives(tl, i) == (clusters, paths)
+        tiles(tuple(c.interval for c in clusters), data.n)
+        rows = tl.segment_rows(i)
+        for col, values in ((cols.size, [c.size for c in clusters]),
+                            (cols.mass, [c.mass for c in clusters]),
+                            (cols.c0, [p.c0 for p in paths]),
+                            (cols.c1, [p.c1 for p in paths]),
+                            (cols.c2, [p.c2 for p in paths]),
+                            (cols.c2, [c.acceleration for c in clusters])):
+            assert col[rows].tolist() == values
     starts = [snap[0] for snap in snapshots]
     for t in query_times(tl):
         for left in (False, True):
-            idx = (bisect_left if left else bisect_right)(starts, t) - 1
-            t_lo, t_hi, clusters, paths = snapshots[max(idx, 0)]
-            seg = tl.segment_before(t) if left else tl.segment_at(t)
-            assert (seg.t_lo, seg.t_hi) == (t_lo, t_hi)
-            assert list(seg.clusters) == clusters and list(seg.paths) == paths
+            idx = max((bisect_left if left else bisect_right)(starts, t) - 1, 0)
+            _, _, clusters, paths = snapshots[idx]
+            assert np.array_equal(tl.rows_at(t, left), tl.segment_rows(idx))
             if not left:
                 assert tl.partition_at(t) == tuple(c.interval for c in clusters)
             sizes = [c.size for c in clusters]
             expected = (np.repeat([p(t) for p in paths], sizes),
                         np.repeat([p.derivative(t) for p in paths], sizes),
                         np.repeat([c.acceleration for c in clusters], sizes))
-            got = ((tl.positions_at_left(t), tl.velocities_at_left(t),
-                    tl.accelerations_at_left(t)) if left else
-                   (tl.positions_at(t), tl.velocities_at(t), tl.accelerations_at(t)))
+            got = (tl.positions_at(t, left), tl.velocities_at(t, left),
+                   tl.accelerations_at(t, left))
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
 
@@ -269,24 +332,38 @@ class TestLives:
         check_lives(lattice_instance(3, 20), t_end=0.7)
         check_lives(random_family(30), t_end=0.5)
 
-    def test_segment_views_are_kept_read_only_and_per_timeline(self):
+    def test_columns_are_read_only_and_per_timeline(self):
         tl = simulate(lattice_instance(1, 20))
         t = tl.event_times[0]
-        seg = tl.segment_at(t)
-        assert tl.segment(tl.n_segments - 1) is not seg
-        assert tl.segment_at(t) is seg
+        cols = tl.columns
+        assert tl.columns is cols
+        for col in cols:
+            assert not col.flags.writeable
         with pytest.raises(ValueError):
-            seg.c1[0] = 0.0
-        # the faulted copy builds its own views from its own lives
-        faulted = inject_velocity_fault(tl).segment_at(t)
-        assert not np.array_equal(faulted.c1, seg.c1)
-        assert np.array_equal(faulted.c0, seg.c0)
+            cols.c1[0] = 0.0
+        # the faulted copy builds its own columns from its own lives
+        faulted = inject_velocity_fault(tl)
+        assert faulted.columns is not cols
+        rows = tl.rows_at(t)
+        assert np.array_equal(faulted.rows_at(t), rows)
+        assert not np.array_equal(faulted.columns.c1[rows], cols.c1[rows])
+        assert np.array_equal(faulted.columns.c0[rows], cols.c0[rows])
 
     def test_segment_index_checked(self, head_on):
         tl = simulate(head_on)
         for bad in (-1, tl.n_segments):
             with pytest.raises(IndexError):
-                tl.segment(bad)
+                tl.segment_rows(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: simulate(random_family(40)),
+        lambda: simulate(lattice_instance(5, 30)),
+        lambda: inject_velocity_fault(simulate(lattice_instance(5, 30))),
+    ], ids=["random", "lattice", "faulted"])
+    def test_c2_is_the_cluster_acceleration(self, make):
+        tl = make()
+        assert tl.events
+        assert tl.columns.c2.tolist() == [x.cluster.acceleration for x in tl.lives]
 
     def test_simulate_memory_is_linear(self):
         # per-event partition snapshots would hold N(N+1)/2 cluster
@@ -312,9 +389,9 @@ class TestStateEvaluation:
     def test_left_right_limits_at_shock(self, timeline_head_on):
         tl = timeline_head_on
         assert tl.velocities_at(1.0) == pytest.approx([0.5, 0.5])
-        assert tl.velocities_at_left(1.0) == pytest.approx([1.0, 0.0])
+        assert tl.velocities_at(1.0, left=True) == pytest.approx([1.0, 0.0])
         # positions do not jump
-        assert tl.positions_at_left(1.0) == pytest.approx(tl.positions_at(1.0), abs=1e-12)
+        assert tl.positions_at(1.0, left=True) == pytest.approx(tl.positions_at(1.0), abs=1e-12)
 
     def test_fully_merged_acceleration(self, weighted_pair):
         tl = simulate(weighted_pair)
@@ -352,6 +429,22 @@ class TestStateEvaluation:
         for bad in (-1e-9, 2.5, math.nan):
             with pytest.raises(TimeOutOfRange):
                 tl.sample_positions([0.0, bad])
+
+    def test_non_finite_times_rejected_without_horizon(self, weighted_pair):
+        # t_end = inf admits t = inf in the range test alone
+        tl = simulate(weighted_pair)
+        assert tl.t_end == math.inf
+        queries = [tl.rows_at, tl.partition_at, tl.time_to_next_event,
+                   *(partial(q, left=left) for q in (tl.positions_at, tl.velocities_at,
+                                                    tl.accelerations_at)
+                     for left in (False, True)),
+                   lambda t: tl.sample_positions([0.0, t]),
+                   lambda t: tl.sample_velocities([t]),
+                   lambda t: tl.life_rows(np.array([0.0, t]))]
+        for bad in (math.inf, -math.inf, math.nan):
+            for query in queries:
+                with pytest.raises(TimeOutOfRange):
+                    query(bad)
 
 
 def stepped_intervals(data, times, dt, tol=DEFAULT_TOL, chunk=4096):
@@ -823,7 +916,7 @@ class TestInvariants:
             tl = simulate(data)
             assert tl.n_segments == len(tl.events) + 1
             for event in tl.events:
-                xl = tl.positions_at_left(event.time)
+                xl = tl.positions_at(event.time, left=True)
                 for grp in event.groups:
                     g, d = grp.merged.interval
                     spread = xl[g : d + 1].max() - xl[g : d + 1].min()

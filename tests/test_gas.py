@@ -11,7 +11,7 @@ from stickygas import (
     velocity_space_fields,
     velocity_space_residuals,
 )
-from stickygas.errors import WindowOutOfRange
+from stickygas.errors import TimeOutOfRange, WindowOutOfRange
 from stickygas.gas import (
     _gauss_legendre,
     _gauss_legendre_rule,
@@ -67,21 +67,28 @@ def _adaptive_integral(tl, t1, t2, make_integrand, kinks):
     cuts = [t1] + [s for s in tl.event_times if t1 < s < t2] + [t2]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        seg = tl.segment_at(a)
-        integrand = make_integrand(seg)
-        pieces = [a, *kinks(seg, a, b), b]
+        rows = tl.rows_at(a)
+        integrand = make_integrand(rows)
+        pieces = [a, *kinks(rows, a, b), b]
         for lo, hi in zip(pieces[:-1], pieces[1:]):
             total += quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
     return total
 
 
+def _accelerations(tl, rows):
+    """The accelerations of the clusters at `rows`, read off the lives."""
+    return np.array([tl.lives[r].cluster.acceleration for r in rows.tolist()])
+
+
 def _adaptive_position_reference(tl, f, t1, t2):
     """(mass transport, momentum transport, source) with scalar integrands."""
     M = tl.total_mass
+    c = tl.columns
 
     def make(kind):
-        def make_integrand(seg):
-            wgt, c0, c1, c2, theta = seg.mass / M, seg.c0, seg.c1, seg.c2, seg.theta
+        def make_integrand(rows):
+            wgt, c0, c1, c2 = c.mass[rows] / M, c.c0[rows], c.c1[rows], c.c2[rows]
+            theta = _accelerations(tl, rows)
 
             def integrand(t):
                 pos = c0 + t * (c1 + 0.5 * t * c2)
@@ -95,8 +102,8 @@ def _adaptive_position_reference(tl, f, t1, t2):
             return integrand
         return make_integrand
 
-    def kinks(seg, a, b):
-        return _crossing_union(seg.c0, seg.c1, seg.c2, f.knots, a, b)
+    def kinks(rows, a, b):
+        return _crossing_union(c.c0[rows], c.c1[rows], c.c2[rows], f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(kind), kinks)
                  for kind in ("mass", "momentum", "source"))
@@ -105,15 +112,18 @@ def _adaptive_position_reference(tl, f, t1, t2):
 def _adaptive_velocity_reference(tl, f, t1, t2):
     """(flux transport, second-moment transport) with scalar integrands."""
     M = tl.total_mass
+    c = tl.columns
 
     def make(power):
-        def make_integrand(seg):
-            wgt, c1, c2, theta = seg.mass / M, seg.c1, seg.c2, seg.theta
+        def make_integrand(rows):
+            wgt, c1, c2 = c.mass[rows] / M, c.c1[rows], c.c2[rows]
+            theta = _accelerations(tl, rows)
             return lambda t: float(wgt @ (f.prime(c1 + t * c2) * theta ** power))
         return make_integrand
 
-    def kinks(seg, a, b):
-        return _crossing_union(seg.c1, seg.c2, np.zeros_like(seg.c2), f.knots, a, b)
+    def kinks(rows, a, b):
+        c2 = c.c2[rows]
+        return _crossing_union(c.c1[rows], c2, np.zeros_like(c2), f.knots, a, b)
 
     return tuple(_adaptive_integral(tl, t1, t2, make(p), kinks) for p in (1, 2))
 
@@ -158,10 +168,10 @@ def _velocity_kinks_loop(paths, knots, los, his):
 
 def _left_law(tl, s):
     """Velocity law and conditional mean acceleration at the left limit at
-    s, grouped like velocity_space_fields but from segment_before."""
-    seg = tl.segment_before(s)
-    mu, w, _ = _group_velocity_atoms(seg.c1 + s * seg.c2, seg.mass / tl.total_mass,
-                                     seg.theta, DEFAULT_TOL)
+    s, grouped like velocity_space_fields but from the rows of the left limit."""
+    c, rows = tl.columns, tl.rows_at(s, left=True)
+    mu, w, _ = _group_velocity_atoms(c.c1[rows] + s * c.c2[rows], c.mass[rows] / tl.total_mass,
+                                     _accelerations(tl, rows), DEFAULT_TOL)
     return mu, w
 
 
@@ -213,17 +223,18 @@ def _coincidence_times_loop(tl):
     if np.isinf(t_max):
         t_max = (tl.event_times[-1] + 1.0) if tl.events else 1.0
     out = set()
-    for seg in map(tl.segment, range(tl.n_segments)):
-        k = len(seg.paths)
-        hi = min(seg.t_hi, t_max)
+    for s in range(tl.n_segments):
+        paths = [tl.lives[r].path for r in tl.segment_rows(s).tolist()]
+        k = len(paths)
+        hi = min(tl.bounds[s + 1], t_max)
         for i in range(k):
             for j in range(i + 1, k):
-                dc2 = seg.paths[i].c2 - seg.paths[j].c2
-                dc1 = seg.paths[j].c1 - seg.paths[i].c1
+                dc2 = paths[i].c2 - paths[j].c2
+                dc1 = paths[j].c1 - paths[i].c1
                 if dc2 == 0.0:
                     continue
                 tc = dc1 / dc2
-                if seg.t_lo < tc < hi and tc > 0.0:
+                if tl.bounds[s] < tc < hi and tc > 0.0:
                     out.add(tc)
     return sorted(out)
 
@@ -310,16 +321,18 @@ def _knot_cases():
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b <= a:
                 continue
-            seg = tl.segment_at(a)
-            xs = seg.c0 + a * (seg.c1 + 0.5 * a * seg.c2)
-            vs = seg.c1 + a * seg.c2
+            rows = tl.rows_at(a)
+            c0, c1, c2 = (col[rows] for col in (tl.columns.c0, tl.columns.c1, tl.columns.c2))
+            xs = c0 + a * (c1 + 0.5 * a * c2)
+            vs = c1 + a * c2
             seg_knots = [k for v in (xs, vs) for f in covering_test_functions(v) for k in f.knots]
-            n = len(seg.lives)
-            cases.append((list(zip(seg.c0, seg.c1, seg.c2)), seg_knots, [a] * n, [b] * n))
+            n = len(rows)
+            cases.append((list(zip(c0, c1, c2)), seg_knots, [a] * n, [b] * n))
             knots += seg_knots
         # every life over its own span inside [0.05 hi, hi], as the weak form
         # cuts them
-        first, last, *_, c0, c1, c2 = tl.columns
+        c = tl.columns
+        first, last, c0, c1, c2 = c.first, c.last, c.c0, c.c1, c.c2
         bounds = np.asarray(tl.bounds)
         los = np.maximum(bounds[first], cuts[0])
         his = np.minimum(bounds[last + 1], hi)
@@ -448,7 +461,7 @@ class TestPositionSpace:
                 for value, expected in zip(got, ref):
                     assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
             vs = np.concatenate([tl.velocities_at(t1), tl.velocities_at(t2),
-                                 tl.velocities_at_left(t2)])
+                                 tl.velocities_at(t2, left=True)])
             for f in covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs)))):
                 mass_eq, momentum_eq = velocity_space_residuals(tl, f, t1, t2)
                 ref = _adaptive_velocity_reference(tl, f, t1, t2)
@@ -480,6 +493,19 @@ class TestPositionSpace:
             position_space_residuals(timeline_head_on, bump(), 0.0, 1.0)
         with pytest.raises(WindowOutOfRange):
             position_space_residuals(timeline_head_on, bump(), 1.0, 0.5)
+
+    def test_non_finite_window_end_rejected(self, timeline_head_on):
+        # t_end = inf admits t2 = inf in the range test alone
+        assert timeline_head_on.t_end == math.inf
+        for residuals in (position_space_residuals, velocity_space_residuals):
+            for t2 in (math.inf, math.nan):
+                with pytest.raises(WindowOutOfRange):
+                    residuals(timeline_head_on, bump(), 0.5, t2)
+
+    def test_non_finite_field_time_rejected(self, timeline_head_on):
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                velocity_space_fields(timeline_head_on, t)
 
 
 class TestVelocityFields:
@@ -549,8 +575,10 @@ class TestVelocityFields:
             times = list(rng.uniform(1e-3, tl.event_times[-1] + 1.0 if tl.events else 1.0, 5))
             times += list(tl.event_times) + velocity_coincidence_times(tl)
             for t in times:
-                for seg in (tl.segment_at(t), tl.segment_before(t)):
-                    cases.append((seg.c1 + t * seg.c2, seg.mass / tl.total_mass, seg.theta))
+                for rows in (tl.rows_at(t), tl.rows_at(t, left=True)):
+                    c = tl.columns
+                    cases.append((c.c1[rows] + t * c.c2[rows], c.mass[rows] / tl.total_mass,
+                                  _accelerations(tl, rows)))
         rng = np.random.default_rng(17_500)
         for _ in range(300):
             # integer lattice: many clusters share a velocity, some chained
@@ -599,7 +627,7 @@ class TestVelocityResiduals:
         tl = simulate(weighted_pair)
         T = tl.event_times[0]
         vs = np.concatenate([tl.velocities_at(0.5 * T), tl.velocities_at(1.5 * T),
-                             tl.velocities_at_left(T)])
+                             tl.velocities_at(T, left=True)])
         for f in covering_test_functions(vs, pad=1.0):
             mass_eq, momentum_eq = velocity_space_residuals(tl, f, 0.5 * T, 1.5 * T)
             assert abs(mass_eq.residual) <= 1e-8
@@ -613,7 +641,7 @@ class TestVelocityResiduals:
         tl = simulate(weighted_pair)
         T = tl.event_times[0]
         v_post = tl.velocities_at(T)[0]
-        v_pre = tl.velocities_at_left(T)
+        v_pre = tl.velocities_at(T, left=True)
         width = 0.4 * min(abs(v_post - v) for v in v_pre)
         f = bump(float(v_post), float(width))
         mass_eq, momentum_eq = velocity_space_residuals(tl, f, 0.5 * T, 1.5 * T)
@@ -663,12 +691,12 @@ class TestVelocityResiduals:
         for tl, t1, t2 in cases:
             shocks = [s for s in tl.event_times if t1 < s <= t2]
             for t in (t1, t2, *shocks):
-                grouped += len(velocity_space_fields(tl, t).mu.atoms) < len(tl.segment_at(t).lives)
+                grouped += len(velocity_space_fields(tl, t).mu.atoms) < len(tl.rows_at(t))
             for s in shocks:
                 assert abs(force_jump_total(tl, s)) <= 1e-12
             gamma = float(np.abs(tl.initial.accelerations).max())
             vs = np.concatenate([tl.velocities_at(t1), tl.velocities_at(t2),
-                                 tl.velocities_at_left(t2)])
+                                 tl.velocities_at(t2, left=True)])
             for f in covering_test_functions(vs, pad=0.5 * (1.0 + float(np.ptp(vs)))):
                 reports = velocity_space_residuals(tl, f, t1, t2)
                 refs = _grouped_velocity_terms(tl, f, t1, t2)
@@ -688,7 +716,7 @@ def threshold_crossing_loop(tl, interval, t1, t2):
     total = 0.0
     for s in tl.event_times:
         if t1 < s <= min(t2, tl.t_end):
-            right, left = tl.velocities_at(s), tl.velocities_at_left(s)
+            right, left = tl.velocities_at(s), tl.velocities_at(s, left=True)
             total += float(m @ (((right >= lo) & (right <= hi)).astype(float)
                                 - ((left >= lo) & (left <= hi)).astype(float)))
     return total
