@@ -21,5 +21,5 @@ for t in [0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 4.0]:
     fl = velocity_space_fields(timeline, t)
     atoms = ", ".join(
         f"v={v:+.4f} wgt={wt:.2f} w={w:+.4f} a={a:.4f}"
-        for (v, wt), w, a in zip(fl.mu.atoms, fl.w, fl.a))
+        for (v, wt), w, a in zip(fl.atoms, fl.w, fl.a))
     print(f"t={t:<12.6g} {atoms}")

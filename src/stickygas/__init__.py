@@ -34,22 +34,19 @@ from .gvp import (
     gvp_equivalence_check,
     interior_condition,
     is_left_endpoint,
-    is_right_endpoint,
 )
-from .measures import DiscreteMeasure
 from .model import (
     Cluster,
     InitialData,
     cluster_aggregates,
     validate,
 )
-from .quadratics import QuadraticPath, lemma_quadratic_dominance, quadratic_meet_times
+from .quadratics import QuadraticPath, quadratic_meet_times
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
     "Cluster",
     "DEFAULT_TOL",
-    "DiscreteMeasure",
     "FlowField",
     "GvpFunctional",
     "InitialData",
@@ -68,8 +65,6 @@ __all__ = [
     "initial_limits_check",
     "interior_condition",
     "is_left_endpoint",
-    "is_right_endpoint",
-    "lemma_quadratic_dominance",
     "position_space_residuals",
     "quadratic_meet_times",
     "right_derivative_check",

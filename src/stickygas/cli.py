@@ -16,7 +16,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +52,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_row(row: list) -> str:
-    if all(map(isinstance, row, repeat(float))):
-        # "%.17g" renders a float exactly as _fmt does, in one call per row
-        return ",".join(["%.17g"] * len(row)) % tuple(row)
-    return ",".join(_fmt(v) for v in row)
-
-
 def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
     """Write the header, then each line (already ending in a newline) as it comes."""
     with open(path, "w") as fh:
@@ -68,7 +60,7 @@ def _write_lines(path: Path, header: list[str], lines: Iterable[str]) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    _write_lines(path, header, (_format_row(row) + "\n" for row in rows))
+    _write_lines(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 _ROW_BLOCK = 128  # trajectory.csv rows built and written per block
@@ -254,7 +246,7 @@ def cmd_gas(args) -> int:
         if not t1 <= tc <= t2:
             continue
         fields = gaslib.velocity_space_fields(timeline, tc)
-        for (v, wt), w, a in zip(fields.mu.atoms, fields.w, fields.a):
+        for (v, wt), w, a in zip(fields.atoms, fields.w, fields.a):
             if a > 0.0:
                 cong_rows.append([tc, v, wt, w, a])
     _write_csv(out / "congestion.csv",

@@ -21,6 +21,10 @@ class NonFiniteValue(StickyError):
     """NaN or an infinity in the initial data."""
 
 
+class NotOneDimensional(StickyError):
+    """Initial data given as an array that is not one-dimensional."""
+
+
 class IndexOutOfRange(StickyError):
     pass
 

@@ -6,7 +6,9 @@ factor through the current position as Eulerian fields on the support of
 the transported mass measure.  Conditioning a random initial atom on its
 current position is exact cluster grouping -- the conditional-expectation
 identities are evaluated that way, with the direct weighted sums as the
-independent side and the timeline's stored paths as the checked side.
+independent side and the timeline's stored paths as the checked side.  The
+right derivatives of the flow are checked against the same conditional
+expectations by forward differences.
 """
 
 from __future__ import annotations
@@ -185,51 +187,3 @@ def right_derivative_check(
         ))
     return RightDerivativeReport(t, tuple(probes))
 
-
-def conditioning_matches_partition(timeline: ShockTimeline, t: float) -> bool:
-    """Grouping current positions within the run's abs_tol must reproduce
-    the partition."""
-    xs = timeline.positions_at(t)
-    groups = []
-    start = 0
-    for j in range(1, len(xs)):
-        if xs[j] - xs[j - 1] > timeline.tol.abs_tol:
-            groups.append((start, j - 1))
-            start = j
-    groups.append((start, len(xs) - 1))
-    return tuple(groups) == timeline.partition_at(t)
-
-
-@dataclass(frozen=True)
-class CadlagProbe:
-    time: float
-    position_continuity: float   # |left limit - value| for positions
-    velocity_right_drift: float  # |value(t + eps) - value(t)|
-    velocity_jump: float         # |left limit - value|
-    acceleration_right_drift: float
-    acceleration_jump: float
-
-
-def cadlag_probes(timeline: ShockTimeline, eps: float = 1e-9) -> list[CadlagProbe]:
-    """Right-continuity evidence at every shock time.
-
-    Positions must be continuous; velocities and accelerations may jump but
-    their right values must match the evaluation at t + eps up to O(eps)."""
-    out = []
-    for s in timeline.event_times:
-        if s + eps > timeline.t_end:
-            continue
-        x, xl = timeline.positions_at(s), timeline.positions_at(s, left=True)
-        v, vr, vl = (timeline.velocities_at(s), timeline.velocities_at(s + eps),
-                     timeline.velocities_at(s, left=True))
-        a, ar, al = (timeline.accelerations_at(s), timeline.accelerations_at(s + eps),
-                     timeline.accelerations_at(s, left=True))
-        out.append(CadlagProbe(
-            s,
-            float(np.abs(xl - x).max()),
-            float(np.abs(vr - v).max()),
-            float(np.abs(vl - v).max()),
-            float(np.abs(ar - a).max()),
-            float(np.abs(al - a).max()),
-        ))
-    return out

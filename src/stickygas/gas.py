@@ -8,8 +8,8 @@ Velocity space: the law of the velocity process satisfies transport
 equations whose flux coefficients are the conditional mean acceleration w
 and the raw second moment w^2 + a (a being the conditional variance of the
 cluster acceleration given the velocity).  Velocities jump at shocks, so
-signed jump measures collected at the shock times inside the window enter
-the right-hand side; residuals are reported with and without them.
+the jumps of the law at the shock times inside the window enter the
+right-hand side; residuals are reported with and without them.
 
 One kernel serves both systems.  Its state Y is the position X (rate V,
 forcing Gamma) or the velocity V (rate Gamma, no forcing); Gamma is a
@@ -24,9 +24,8 @@ life's span inside [t1, t2].  Inside these expectations the conditioning on
 the velocity collapses (tower property), so the residuals never group
 clusters by velocity; the grouping (VelocityFields) is kept for what needs
 the conditional variance: congestion samples and the initial-limit and
-continuity checks.  The shock-time quantities (jump measures, force jumps,
-threshold crossings) read the same born and ended lives as the residual
-jumps.
+continuity checks.  The threshold-crossing measure reads the same born and
+ended lives at shocks as the residual jumps.
 
 A life's span is split only where its own Y crosses a knot of the test
 function.  On each piece every integrand is a polynomial in t (degree <= 12
@@ -48,12 +47,13 @@ import numpy as np
 
 from .dynamics import ShockTimeline, horizon_of
 from .errors import WindowOutOfRange
-from .measures import DiscreteMeasure
 from .model import InitialData
 from .testfunctions import TestFunction
 from .tolerances import DEFAULT_TOL, Tolerances
 
 RESIDUAL_FLOOR = 1e-8
+
+Atoms = tuple[tuple[float, float], ...]  # a velocity law: (velocity, weight) pairs
 
 
 @cache
@@ -251,17 +251,17 @@ class VelocityFields:
     """Velocity law and conditional fields at one time.
 
     Atom-aligned tuples: w[i] is the conditional mean acceleration at
-    mu.atoms[i], a[i] the conditional variance.  tol is the policy of the
+    atoms[i], a[i] the conditional variance.  tol is the policy of the
     run the fields were read from; it groups the atoms and finds them."""
 
     t: float
-    mu: DiscreteMeasure
+    atoms: Atoms
     w: tuple[float, ...]
     a: tuple[float, ...]
     tol: Tolerances
 
     def _lookup(self, v: float) -> int:
-        for i, (loc, _) in enumerate(self.mu.atoms):
+        for i, (loc, _) in enumerate(self.atoms):
             if abs(loc - v) <= self.tol.abs_tol:
                 return i
         raise KeyError(f"no velocity atom at {v}")
@@ -275,7 +275,7 @@ class VelocityFields:
 
 def _group_velocity_atoms(
     vels: np.ndarray, wgts: np.ndarray, gammas: np.ndarray, tol: Tolerances
-) -> tuple[DiscreteMeasure, tuple[float, ...], tuple[float, ...]]:
+) -> tuple[Atoms, tuple[float, ...], tuple[float, ...]]:
     """Velocity atoms (chained within tol.abs_tol after a stable sort) with
     the weighted mean and variance of gammas per atom."""
     order = np.argsort(vels, kind="stable")
@@ -296,8 +296,7 @@ def _group_velocity_atoms(
         vbar[k] = (wg[sel] * v[sel]).sum() / weight[k]
         w[k] = (wg[sel] * g[sel]).sum() / weight[k]
         a[k] = (wg[sel] * (g[sel] - w[k]) ** 2).sum() / weight[k]
-    atoms = tuple(zip(vbar.tolist(), weight.tolist()))
-    return DiscreteMeasure(atoms), tuple(w.tolist()), tuple(a.tolist())
+    return tuple(zip(vbar.tolist(), weight.tolist())), tuple(w.tolist()), tuple(a.tolist())
 
 
 def velocity_space_fields(timeline: ShockTimeline, t: float) -> VelocityFields:
@@ -305,9 +304,9 @@ def velocity_space_fields(timeline: ShockTimeline, t: float) -> VelocityFields:
     conditional mean / variance of the cluster acceleration given velocity."""
     c, rows = timeline.columns, timeline.rows_at(t)
     gamma = c.c2[rows]
-    mu, w, a = _group_velocity_atoms(c.c1[rows] + t * gamma, c.mass[rows] / timeline.total_mass,
-                                     gamma, timeline.tol)
-    return VelocityFields(t, mu, w, a, timeline.tol)
+    atoms, w, a = _group_velocity_atoms(c.c1[rows] + t * gamma,
+                                        c.mass[rows] / timeline.total_mass, gamma, timeline.tol)
+    return VelocityFields(t, atoms, w, a, timeline.tol)
 
 
 def velocity_space_residuals(
@@ -329,27 +328,6 @@ def velocity_space_residuals(
     momentum_eq = ResidualReport("velocity/momentum", f.name, (t1, t2),
                                  momentum, tr2, 0.0, j_momentum, e2)
     return mass_eq, momentum_eq
-
-
-def jump_measure(timeline: ShockTimeline, s: float) -> DiscreteMeasure:
-    """Signed measure mu(., s+) - mu(., s-) at one shock time: the lives
-    born at s less those that end there, coalesced."""
-    timeline._check_time(s)
-    # (the float before s, s] holds the shock at s and no other
-    rows, times, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
-    c = timeline.columns
-    v = c.c1[rows] + times * c.c2[rows]
-    w = sign * c.mass[rows] / timeline.total_mass
-    return DiscreteMeasure.from_pairs(zip(v.tolist(), w.tolist())).coalesced(timeline.tol)
-
-
-def force_jump_total(timeline: ShockTimeline, s: float) -> float:
-    """Total of w+ mu+ - w- mu- at a shock, E[Gamma] after minus before it
-    (tower property); zero when force is conserved."""
-    timeline._check_time(s)
-    rows, _, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
-    c = timeline.columns
-    return float((sign * c.mass[rows] / timeline.total_mass) @ c.c2[rows])
 
 
 def threshold_crossing_measure(
@@ -420,7 +398,7 @@ def congestion_onset_delay(data: InitialData, first_shock: float) -> float:
 
 def initial_velocity_law(
     data: InitialData, tol: Tolerances = DEFAULT_TOL
-) -> tuple[DiscreteMeasure, tuple[float, ...], tuple[float, ...]]:
+) -> tuple[Atoms, tuple[float, ...], tuple[float, ...]]:
     """Law of the initial velocities with conditional mean/variance of the
     initial acceleration given the initial velocity."""
     M = data.total_mass
@@ -467,18 +445,18 @@ def initial_limits_check(
 
     The congestion flux must converge to 0 even when the initial conditional
     variance is nonzero (limit and initial evaluation do not commute)."""
-    mu0, w0, a0 = initial_velocity_law(timeline.initial, timeline.tol)
+    atoms0, w0, a0 = initial_velocity_law(timeline.initial, timeline.tol)
     entries = []
     for g in g_list:
-        base_mass = mu0.integrate(g)
-        base_flux = math.fsum(wt * w * float(g(v)) for (v, wt), w in zip(mu0.atoms, w0))
-        base_cong = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(mu0.atoms, a0))
+        base_mass = math.fsum(wt * g(v) for v, wt in atoms0)
+        base_flux = math.fsum(wt * w * float(g(v)) for (v, wt), w in zip(atoms0, w0))
+        base_cong = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(atoms0, a0))
         mass_gaps, flux_gaps, cong_vals = [], [], []
         for t in times:
             fl = velocity_space_fields(timeline, t)
-            mass_t = fl.mu.integrate(g)
-            flux_t = math.fsum(wt * w * float(g(v)) for (v, wt), w in zip(fl.mu.atoms, fl.w))
-            cong_t = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(fl.mu.atoms, fl.a))
+            mass_t = math.fsum(wt * g(v) for v, wt in fl.atoms)
+            flux_t = math.fsum(wt * w * float(g(v)) for (v, wt), w in zip(fl.atoms, fl.w))
+            cong_t = math.fsum(wt * a * float(g(v)) for (v, wt), a in zip(fl.atoms, fl.a))
             mass_gaps.append(abs(mass_t - base_mass))
             flux_gaps.append(abs(flux_t - base_flux))
             cong_vals.append(abs(cong_t))
@@ -534,7 +512,7 @@ def continuity_conditions_check(
     samples = []
     for tc in coincidences:
         fl = velocity_space_fields(timeline, tc)
-        for (v, _), a in zip(fl.mu.atoms, fl.a):
+        for (v, _), a in zip(fl.atoms, fl.a):
             if a > 0.0:
                 samples.append((tc, v, a))
 

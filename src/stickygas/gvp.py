@@ -3,18 +3,20 @@
 At time t, move every atom freely to eta_t(x) = x + t*u0(x) + (t^2/2)*g0(x)
 and compare mass-weighted interval averages of eta_t.  An index starts a
 cluster iff every average over a range ending just before it stays strictly
-below every average over a range starting at it; right endpoints mirror
-this with ranges shifted by one.  Pairing all certified endpoints in order
-reconstructs the partition without ever running the collision dynamics.
+below every average over a range starting at it.  Index k ends a cluster
+iff k+1 starts one (or k = N-1): the right-endpoint test is the left test
+shifted by one index, so the left test alone certifies both ends.  Pairing
+the certified endpoints in order reconstructs the partition without ever
+running the collision dynamics.
 
 The certification is only guaranteed for non-increasing acceleration
 profiles, and degenerates to equalities exactly at shock times; callers
-sample away from shocks.  Left endpoint k+1 and right endpoint k are the
-same test, so a time has N-1 distinct split margins.  Averages are slopes
-between cumulative mass and moment points, so all N-1 margins are read off
-their lower convex hull in O(N) (Brenier & Grenier 1998, "Sticky particles
-and scalar conservation laws").  The per-index endpoint tests stay as the
-independent, O(N)-each reference.
+sample away from shocks.  A time has N-1 split margins, one per left
+endpoint 1..N-1.  Averages are slopes between cumulative mass and moment
+points, so all N-1 margins are read off their lower convex hull in O(N)
+(Brenier & Grenier 1998, "Sticky particles and scalar conservation laws").
+The per-index left-endpoint test stays as the independent, O(N)-each
+reference.
 """
 
 from __future__ import annotations
@@ -86,15 +88,6 @@ class GvpFunctional:
         rights = self._avgs_starting_at(alpha)
         return float(rights.min() - lefts.max())
 
-    def right_endpoint_margin(self, beta: int) -> float:
-        if not 0 <= beta < self.data.n:
-            raise IndexOutOfRange(f"index {beta}")
-        if beta == self.data.n - 1:
-            return math.inf
-        lefts = self._avgs_ending_before(beta + 1)
-        rights = self._avgs_starting_at(beta + 1)
-        return float(rights.min() - lefts.max())
-
     @cached_property
     def split_margins(self) -> np.ndarray:
         """m[k] = min_{j>k} avg[k+1, j] - max_{i<=k} avg[i, k] for k < N-1.
@@ -143,12 +136,6 @@ def is_left_endpoint(F: GvpFunctional, alpha: int) -> bool:
     return margin is math.inf or margin > F.tol.abs_tol
 
 
-def is_right_endpoint(F: GvpFunctional, beta: int) -> bool:
-    """Right-endpoint certificate; index N-1 qualifies by convention."""
-    margin = F.right_endpoint_margin(beta)
-    return margin is math.inf or margin > F.tol.abs_tol
-
-
 def endpoint_tie_indices(F: GvpFunctional) -> list[int]:
     """Indices whose endpoint test sits within tolerance of equality: both
     sides k and k+1 of every split margin with |m[k]| <= abs_tol.
@@ -161,8 +148,8 @@ def endpoint_tie_indices(F: GvpFunctional) -> list[int]:
 
 def _certified_intervals(F: GvpFunctional) -> tuple[tuple[int, int], ...]:
     """Cut after k iff split margin k certifies (m[k] > abs_tol).  Margin k is
-    both the left test of k+1 and the right test of k, so the certified
-    endpoints always pair into a contiguous cover."""
+    the left test of k+1, which also certifies k as a right endpoint, so the
+    certified endpoints always pair into a contiguous cover."""
     cuts = np.flatnonzero(F.split_margins > F.tol.abs_tol).tolist()
     return tuple(zip([0] + [k + 1 for k in cuts], cuts + [F.data.n - 1]))
 

@@ -37,6 +37,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -55,18 +57,13 @@ def parse_instance(text: str) -> Instance:
         missing = _PARTICLE_KEYS - set(p)
         if missing:
             raise InstanceFormatError(f"particle {i} is missing keys: {sorted(missing)}")
-        try:
-            xs.append(float(p["x"]))
-            ms.append(float(p["m"]))
-            vs.append(float(p["v"]))
-            ths.append(float(p["theta"]))
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"particle {i} has a non-numeric field: {exc}") from exc
+        for column, key in ((xs, "x"), (ms, "m"), (vs, "v"), (ths, "theta")):
+            column.append(_number(p[key], f"particle {i} field '{key}'"))
     t_end = doc.get("t_end")
     if t_end is not None:
         t_end = _nonnegative(t_end, "`t_end`")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise InstanceFormatError("`seed` must be an integer")
     tol = Tolerances()
     if "tolerances" in doc:
@@ -81,11 +78,19 @@ def parse_instance(text: str) -> Instance:
     return Instance(data, t_end, seed, tol)
 
 
-def _finite(value, what: str) -> float:
+def _number(value, what: str) -> float:
+    """A JSON number as a float.  Strings, booleans and null are not numbers,
+    though Python's float() would take "0.5" and True."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{what} must be a number, got {value!r}")
     try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{what} must be a number: {exc}") from exc
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond binary64
+        raise InstanceFormatError(f"{what} is out of range: {exc}") from exc
+
+
+def _finite(value, what: str) -> float:
+    out = _number(value, what)
     if not math.isfinite(out):
         raise InstanceFormatError(f"{what} must be finite, got {out}")
     return out

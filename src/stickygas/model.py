@@ -24,6 +24,7 @@ from .errors import (
     NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
+    NotOneDimensional,
 )
 from .quadratics import QuadraticPath
 
@@ -76,11 +77,15 @@ def validate(
     m = np.asarray(masses, dtype=float)
     v = np.asarray(velocities, dtype=float)
     th = np.asarray(accelerations, dtype=float)
+    columns = (("positions", x), ("masses", m), ("velocities", v), ("accelerations", th))
+    for name, arr in columns:
+        if arr.ndim != 1:
+            raise NotOneDimensional(f"{name} must be one-dimensional, got shape {arr.shape}")
     if x.size == 0:
         raise EmptyInput("need at least one particle")
     if not (x.size == m.size == v.size == th.size):
         raise EmptyInput("positions, masses, velocities, accelerations must have equal length")
-    for name, arr in (("positions", x), ("masses", m), ("velocities", v), ("accelerations", th)):
+    for name, arr in columns:
         if not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} must be finite (no NaN or infinity)")
     if np.any(np.diff(x) <= 0):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IdenticalPaths, PreconditionViolated
+from .errors import IdenticalPaths
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -82,46 +82,3 @@ def quadratic_meet_times(
     """
     return [r for r in _difference_roots(p, q, tol) if r.time > after]
 
-
-def lemma_quadratic_dominance(
-    q1: QuadraticPath,
-    q2: QuadraticPath,
-    t0: float,
-    t1: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Whether q1(s) > q2(s) for every s > t1, decided by root analysis.
-
-    Preconditions (raised as PreconditionViolated otherwise): q1 != q2,
-    q1.c2 >= q2.c2, t0 < t1, q1(t0) <= q2(t0) and q1(t1) >= q2(t1).  Under
-    these the answer is provably always True; the function still decides from
-    the roots so it can serve as a self-test.
-    """
-    if (q1.c0, q1.c1, q1.c2) == (q2.c0, q2.c1, q2.c2):
-        raise PreconditionViolated("paths must differ")
-    if q1.c2 < q2.c2:
-        raise PreconditionViolated("leading coefficients must satisfy q1.c2 >= q2.c2")
-    if not t0 < t1:
-        raise PreconditionViolated("need t0 < t1")
-    # boundary values at a computed crossing agree only to rounding
-    band0 = tol.rel_tol * max(1.0, abs(q1(t0)), abs(q2(t0)))
-    band1 = tol.rel_tol * max(1.0, abs(q1(t1)), abs(q2(t1)))
-    if q1(t0) > q2(t0) + band0:
-        raise PreconditionViolated("need q1(t0) <= q2(t0)")
-    if q1(t1) < q2(t1) - band1:
-        raise PreconditionViolated("need q1(t1) >= q2(t1)")
-
-    a = 0.5 * (q1.c2 - q2.c2)
-    b = q1.c1 - q2.c1
-    c = q1.c0 - q2.c0
-    if a == 0.0:
-        roots = [] if b == 0.0 else [MeetTime(-c / b)]
-    else:
-        roots = _real_roots(a, b, c, tol)
-    # roots landing within rounding of t1 itself are boundary, not violations
-    boundary = t1 + tol.event_tol(t1)
-    if any(r.time > boundary for r in roots):
-        return False
-    probe = max([t1] + [r.time for r in roots]) + 1.0
-    diff = QuadraticPath(c, b, 2.0 * a)
-    return diff(probe) > 0.0

@@ -86,15 +86,6 @@ def cubic_bspline(center: float = 0.0, halfwidth: float = 1.0) -> TestFunction:
         tuple(center + k * halfwidth / 2.0 for k in (-2, -1, 0, 1, 2)))
 
 
-def finite_difference_mismatch(tf: TestFunction, n: int = 2001, h: float = 1e-6) -> float:
-    """Max |df - centered difference of f| over the support interior."""
-    lo, hi = tf.support
-    pad = (hi - lo) * 1e-3
-    xs = np.linspace(lo + pad, hi - pad, n)
-    fd = (tf.f(xs + h) - tf.f(xs - h)) / (2.0 * h)
-    return float(np.abs(tf.df(xs) - fd).max())
-
-
 def covering_test_functions(values: Sequence[float], pad: float = 0.5) -> list[TestFunction]:
     """Three built-ins whose supports jointly and individually probe `values`."""
     lo = float(min(values)) - pad

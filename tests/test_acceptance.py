@@ -14,7 +14,6 @@ import pytest
 from stickygas import (
     QuadraticPath,
     clusters_from_gvp,
-    lemma_quadratic_dominance,
     position_space_residuals,
     quadratic_meet_times,
     simulate,
@@ -31,6 +30,7 @@ from stickygas.instances import random_instance
 from stickygas.testfunctions import bump, covering_test_functions
 from stickygas.verify import conservation_suite, sample_times
 from tests.conftest import tiles
+from tests.references import lemma_quadratic_dominance
 
 
 def _report(number: int, label: str, started: float, failures: list[str]) -> None:

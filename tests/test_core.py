@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stickygas import (
-    DiscreteMeasure,
     QuadraticPath,
     cluster_aggregates,
-    lemma_quadratic_dominance,
     quadratic_meet_times,
     simulate,
     validate,
@@ -22,12 +22,14 @@ from stickygas.errors import (
     NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
+    NotOneDimensional,
     PreconditionViolated,
 )
 from stickygas.flow import _cluster_sums
 from stickygas.model import interval_path, make_cluster
 from stickygas.tolerances import Tolerances
 from tests.conftest import lattice_instance, random_data
+from tests.references import DiscreteMeasure, lemma_quadratic_dominance
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -52,6 +54,21 @@ class TestValidate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             validate([], [], [], [])
+
+    @pytest.mark.parametrize("fields", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)])
+    def test_two_dimensional_rejected(self, fields):
+        """A 2-D column with as many entries as the others used to pass, and
+        the row count of the positions became the number of particles."""
+        columns = [[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, -1.0],
+                   [0.0, 0.0, 0.0, 0.0]]
+        columns = [np.reshape(c, (2, 2)) if k in fields else c for k, c in enumerate(columns)]
+        with pytest.raises(NotOneDimensional):
+            validate(*columns)
+
+    def test_zero_dimensional_rejected(self):
+        """Scalars used to fail in np.diff with a bare ValueError."""
+        with pytest.raises(NotOneDimensional):
+            validate(0.5, 1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))
@@ -319,6 +336,43 @@ class TestDiscreteMeasure:
         diff = DiscreteMeasure.from_pairs([(0.0, 1.0), (0.0, -0.25), (1.0, -0.75)]).coalesced()
         assert diff.atoms == ((0.0, 0.75), (1.0, -0.75))
         assert abs(diff.total()) < 1e-15
+
+
+# Public library names that only the tests call, kept public on purpose.
+PUBLIC_TEST_ONLY = {
+    "FlowField", "threshold_crossing_measure", "initial_limits_check",
+    "continuity_conditions_check", "interior_condition", "is_left_endpoint",
+    "clusters_from_gvp", "classical_clusters",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level def or class of the library is used by other
+    code in the library (a re-export in __init__ does not count) or in
+    scripts/, or is listed in PUBLIC_TEST_ONLY.  Checks that only tests use
+    belong in tests/references.py."""
+    root = Path(__file__).resolve().parents[1]
+    defined, used = {}, []  # name -> module; (module, top-level name, names used)
+    sources = sorted((root / "src" / "stickygas").glob("*.py"))
+    sources += sorted((root / "scripts").glob("*.py"))
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        module = path.relative_to(root).as_posix()
+        for stmt in ast.parse(path.read_text()).body:
+            name = getattr(stmt, "name", None)
+            if (path.parent.name == "stickygas"
+                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not name.startswith("_")):
+                defined[name] = module
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            used.append((module, name, names))
+    uncalled = {name for name, module in defined.items()
+                if not any(name in names for m, owner, names in used
+                           if (m, owner) != (module, name))}
+    assert sorted(uncalled - PUBLIC_TEST_ONLY) == []
+    assert sorted(PUBLIC_TEST_ONLY - uncalled) == []
 
 
 def test_every_export_resolves():

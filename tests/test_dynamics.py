@@ -18,7 +18,6 @@ from stickygas import (
     velocity_space_fields,
 )
 from stickygas.errors import IdenticalPaths, TimeOutOfRange, UndefinedFieldPoint
-from stickygas.flow import conditioning_matches_partition
 from stickygas.instances import random_instance
 from stickygas.model import interval_path, make_cluster
 from stickygas.quadratics import QuadraticPath, quadratic_meet_times
@@ -31,6 +30,7 @@ from stickygas.verify import (
     sample_times,
 )
 from tests.conftest import lattice_instance, random_data, random_family, tiles
+from tests.references import conditioning_matches_partition
 
 
 # The full-rescan reference of the scheduler: every adjacent pair solved at
@@ -947,11 +947,11 @@ class TestRunTolerances:
         wide, default = self.runs()
         # one atom at 1.75e-3, found from either velocity
         fields = velocity_space_fields(wide, 0.375)
-        assert fields.tol is self.WIDE and len(fields.mu.atoms) == 1
+        assert fields.tol is self.WIDE and len(fields.atoms) == 1
         assert fields.w_at(2e-3) == pytest.approx(2e-3)
         assert fields.a_at(1.5e-3) == pytest.approx(4e-6)
         fields = velocity_space_fields(default, 0.375)
-        assert len(fields.mu.atoms) == 2
+        assert len(fields.atoms) == 2
         assert (fields.w_at(2e-3), fields.a_at(1.5e-3)) == (0.0, 0.0)
         with pytest.raises(KeyError):
             fields.w_at(1.75e-3)

@@ -11,8 +11,9 @@ from stickygas import (
 )
 from stickygas import verify
 from stickygas.errors import UndefinedFieldPoint
-from stickygas.flow import IdentityResiduals, cadlag_probes, conditioning_matches_partition
+from stickygas.flow import IdentityResiduals
 from tests.conftest import random_data
+from tests.references import cadlag_probes, conditioning_matches_partition
 
 
 class TestIdentities:

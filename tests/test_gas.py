@@ -20,23 +20,25 @@ from stickygas.gas import (
     _knot_crossings,
     congestion_onset_delay,
     continuity_conditions_check,
-    force_jump_total,
     initial_limits_check,
     initial_velocity_law,
-    jump_measure,
     velocity_coincidence_times,
 )
 from stickygas.instances import random_instance
-from stickygas.measures import DiscreteMeasure
 from stickygas.testfunctions import (
     TestFunction,
     bump,
     covering_test_functions,
     cubic_bspline,
-    finite_difference_mismatch,
 )
 from stickygas.tolerances import DEFAULT_TOL, Tolerances
 from tests.conftest import lattice_instance, random_data
+from tests.references import (
+    DiscreteMeasure,
+    finite_difference_mismatch,
+    force_jump_total,
+    jump_measure,
+)
 
 
 def plateau(lo: float, hi: float, ramp: float) -> TestFunction:
@@ -166,13 +168,18 @@ def _velocity_kinks_loop(paths, knots, los, his):
     return out
 
 
+def _law(fields):
+    """The velocity law of `fields` as a DiscreteMeasure."""
+    return DiscreteMeasure(fields.atoms)
+
+
 def _left_law(tl, s):
     """Velocity law and conditional mean acceleration at the left limit at
     s, grouped like velocity_space_fields but from the rows of the left limit."""
     c, rows = tl.columns, tl.rows_at(s, left=True)
-    mu, w, _ = _group_velocity_atoms(c.c1[rows] + s * c.c2[rows], c.mass[rows] / tl.total_mass,
-                                     _accelerations(tl, rows), DEFAULT_TOL)
-    return mu, w
+    atoms, w, _ = _group_velocity_atoms(c.c1[rows] + s * c.c2[rows], c.mass[rows] / tl.total_mass,
+                                        _accelerations(tl, rows), DEFAULT_TOL)
+    return DiscreteMeasure(atoms), w
 
 
 def _grouped_velocity_terms(tl, f, t1, t2):
@@ -184,12 +191,12 @@ def _grouped_velocity_terms(tl, f, t1, t2):
         return mu.integrate(f), math.fsum(wt * wi * float(f(v)) for (v, wt), wi in zip(mu.atoms, w))
 
     fl2, fl1 = velocity_space_fields(tl, t2), velocity_space_fields(tl, t1)
-    (m2, wm2), (m1, wm1) = terms(fl2.mu, fl2.w), terms(fl1.mu, fl1.w)
+    (m2, wm2), (m1, wm1) = terms(_law(fl2), fl2.w), terms(_law(fl1), fl1.w)
     j_mu = j_wmu = 0.0
     for s in tl.event_times:
         if t1 < s <= t2:
             fl = velocity_space_fields(tl, s)
-            (r_mu, r_wmu), (l_mu, l_wmu) = terms(fl.mu, fl.w), terms(*_left_law(tl, s))
+            (r_mu, r_wmu), (l_mu, l_wmu) = terms(_law(fl), fl.w), terms(*_left_law(tl, s))
             j_mu += r_mu - l_mu
             j_wmu += r_wmu - l_wmu
     return (m2 - m1, j_mu), (wm2 - wm1, j_wmu)
@@ -214,7 +221,7 @@ def _group_velocity_atoms_loop(vels, wgts, gammas, tol):
         ws.append(w)
         avars.append(a)
         i = j
-    return DiscreteMeasure(tuple(atoms)), tuple(ws), tuple(avars)
+    return tuple(atoms), tuple(ws), tuple(avars)
 
 
 def _coincidence_times_loop(tl):
@@ -512,14 +519,14 @@ class TestVelocityFields:
     def test_designed_instance_at_coincidence(self, congestion_pair):
         tl = simulate(congestion_pair)
         fl = velocity_space_fields(tl, 1.0)
-        assert fl.mu.atoms == ((1.0, 1.0),)
+        assert fl.atoms == ((1.0, 1.0),)
         assert fl.w == (0.5,)
         assert fl.a[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_designed_instance_off_coincidence(self, congestion_pair):
         tl = simulate(congestion_pair)
         fl = velocity_space_fields(tl, 0.5)
-        assert [v for v, _ in fl.mu.atoms] == pytest.approx([0.5, 1.0])
+        assert [v for v, _ in fl.atoms] == pytest.approx([0.5, 1.0])
         assert fl.a == (0.0, 0.0)
 
     def test_variance_zero_before_onset(self, congestion_pair):
@@ -538,7 +545,7 @@ class TestVelocityFields:
             for t in rng.uniform(1e-3, hi, 10):
                 fl = velocity_space_fields(tl, float(t))
                 assert all(a >= 0.0 for a in fl.a)
-                assert fl.mu.is_probability()
+                assert _law(fl).is_probability()
 
     def test_coincidence_times_found(self, congestion_pair):
         tl = simulate(congestion_pair)
@@ -607,9 +614,9 @@ class TestVelocityFields:
 
     def test_weighted_law_totals(self, congestion_pair):
         tl = simulate(congestion_pair)
-        assert velocity_space_fields(tl, 0.5).mu.is_probability()
+        assert _law(velocity_space_fields(tl, 0.5)).is_probability()
         fl = velocity_space_fields(tl, 1.0)
-        weights = [wt for _, wt in fl.mu.atoms]
+        weights = [wt for _, wt in fl.atoms]
         assert sum(wt * w for wt, w in zip(weights, fl.w)) == pytest.approx(0.5)
         assert sum(wt * (w * w + a) for wt, w, a in zip(weights, fl.w, fl.a)) == (
             pytest.approx(0.25 + 0.25))
@@ -691,7 +698,7 @@ class TestVelocityResiduals:
         for tl, t1, t2 in cases:
             shocks = [s for s in tl.event_times if t1 < s <= t2]
             for t in (t1, t2, *shocks):
-                grouped += len(velocity_space_fields(tl, t).mu.atoms) < len(tl.rows_at(t))
+                grouped += len(velocity_space_fields(tl, t).atoms) < len(tl.rows_at(t))
             for s in shocks:
                 assert abs(force_jump_total(tl, s)) <= 1e-12
             gamma = float(np.abs(tl.initial.accelerations).max())
@@ -778,8 +785,8 @@ class TestJumpMeasureInvariants:
         T = tl.event_times[0]
         f = bump(0.0, 3.0)
         fl = velocity_space_fields(tl, T)
-        now = fl.mu.integrate(f)
-        just_after = velocity_space_fields(tl, T + 1e-9).mu.integrate(f)
+        now = _law(fl).integrate(f)
+        just_after = _law(velocity_space_fields(tl, T + 1e-9)).integrate(f)
         before = _left_law(tl, T)[0].integrate(f)
         assert abs(just_after - now) <= 1e-6
         assert abs(before - now) > 1e-3
@@ -807,11 +814,11 @@ class TestInitialLimits:
         tl = simulate(congestion_pair)
         g = plateau(-2.0, 3.0, 1.0)
         for t in (1e-2, 0.5, 1.0, 2.0):
-            assert velocity_space_fields(tl, t).mu.integrate(g) == pytest.approx(1.0)
+            assert _law(velocity_space_fields(tl, t)).integrate(g) == pytest.approx(1.0)
 
     def test_initial_law_groups_ties(self, tied_velocity_pair):
-        mu0, w0, a0 = initial_velocity_law(tied_velocity_pair)
-        assert mu0.atoms == ((0.0, 1.0),)
+        atoms0, w0, a0 = initial_velocity_law(tied_velocity_pair)
+        assert atoms0 == ((0.0, 1.0),)
         assert w0 == (0.0,)
         assert a0[0] == pytest.approx(1.0)
 

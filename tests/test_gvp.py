@@ -8,7 +8,6 @@ from stickygas import (
     gvp_equivalence_check,
     interior_condition,
     is_left_endpoint,
-    is_right_endpoint,
     simulate,
     validate,
 )
@@ -23,6 +22,12 @@ from tests.conftest import random_data, random_family, tiles
 # closing speed 2 over a unit gap: the free parabolas cross at 2 +- sqrt(2)
 CASE1 = dict(positions=[0.0, 1.0], masses=[1.0, 1.0],
              velocities=[2.0, 0.0], accelerations=[0.0, 1.0])
+
+
+def _is_right_endpoint(F, beta):
+    """The right-endpoint test: beta ends a cluster iff beta + 1 starts
+    one; index N-1 qualifies by convention."""
+    return beta == F.data.n - 1 or is_left_endpoint(F, beta + 1)
 
 
 class TestInteriorCondition:
@@ -47,13 +52,11 @@ class TestEndpointConditions:
 
     def test_rightmost_always_right(self, head_on):
         for t in (0.0, 0.5, 10.0):
-            assert is_right_endpoint(GvpFunctional(head_on, t), 1)
+            assert clusters_from_gvp(head_on, t)[-1][1] == 1
 
     def test_head_on_before_and_after(self, head_on):
         assert is_left_endpoint(GvpFunctional(head_on, 0.5), 1)
         assert not is_left_endpoint(GvpFunctional(head_on, 2.0), 1)
-        assert is_right_endpoint(GvpFunctional(head_on, 0.5), 0)
-        assert not is_right_endpoint(GvpFunctional(head_on, 2.0), 0)
 
 
 class TestClustersFromGvp:
@@ -143,12 +146,12 @@ class TestPerClusterInvariant:
             F = GvpFunctional(data, t)
             for g, d in tl.partition_at(t):
                 assert is_left_endpoint(F, g)
-                assert is_right_endpoint(F, d)
+                assert _is_right_endpoint(F, d)
                 for y in range(g + 1, d + 1):
                     assert interior_condition(F, g, d, y)
                 for y in range(g + 1, d):
                     assert not is_left_endpoint(F, y)
-                    assert not is_right_endpoint(F, y)
+                    assert not _is_right_endpoint(F, y)
 
     def test_endpoint_sets_assemble_even_on_degenerate_data(self):
         """Integer free-flight values maximize ties; the certified left and
@@ -162,7 +165,7 @@ class TestPerClusterInvariant:
             part = clusters_from_gvp(d, 1.0)
             F = GvpFunctional(d, 1.0)
             lefts = [i for i in range(n) if is_left_endpoint(F, i)]
-            rights = [i for i in range(n) if is_right_endpoint(F, i)]
+            rights = [i for i in range(n) if _is_right_endpoint(F, i)]
             assert part == tuple(zip(lefts, rights))
             tiles(part, n)
 
@@ -177,7 +180,7 @@ def _reference_ties(F):
     ties = []
     for i in range(F.data.n):
         lm = F.left_endpoint_margin(i)
-        rm = F.right_endpoint_margin(i)
+        rm = F.left_endpoint_margin(i + 1) if i < F.data.n - 1 else math.inf
         if (lm is not math.inf and abs(lm) <= F.tol.abs_tol) or (
             rm is not math.inf and abs(rm) <= F.tol.abs_tol
         ):
@@ -219,14 +222,6 @@ class TestSplitMargins:
         for F in _random_cases():
             m = F.split_margins
             assert np.array_equal(m, _reference_margins(F))
-            assert np.array_equal(
-                m, [F.right_endpoint_margin(k) for k in range(F.data.n - 1)])
-
-    def test_right_margin_is_left_margin_of_next_index(self):
-        for F in _random_cases():
-            for b in range(F.data.n - 1):
-                right, left = F.right_endpoint_margin(b), F.left_endpoint_margin(b + 1)
-                assert np.float64(right).tobytes() == np.float64(left).tobytes()
 
     def test_one_and_two_particles(self, single, head_on):
         F = GvpFunctional(single, 0.7)

@@ -101,6 +101,42 @@ class TestInstanceFormat:
         with pytest.raises(InstanceFormatError, match="finite"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("bad", ['"0.5"', "true", "false", "null", "[1]"])
+    @pytest.mark.parametrize("key", ["x", "m", "v", "theta"])
+    def test_particle_field_must_be_a_number(self, key, bad):
+        """A string or a boolean used to load through float(): "0.5" as 0.5,
+        true as 1.0."""
+        particle = {"x": "0", "m": "1", "v": "0", "theta": "0"}  # JSON text per key
+        particle[key] = bad
+        text = '{"particles": [{%s}]}' % ", ".join(f'"{k}": {v}' for k, v in particle.items())
+        with pytest.raises(InstanceFormatError, match=f"field '{key}' must be a number"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("bad", ['"2"', "true", "false", "[2]", "{}"])
+    @pytest.mark.parametrize("field", ['"t_end": {}', '"tolerances": {{"abs": {}}}',
+                                       '"tolerances": {{"rel": {}}}'])
+    def test_setting_must_be_a_number(self, field, bad):
+        """`"t_end": "2"` used to load as 2.0 and `"abs": false` as 0.0."""
+        text = ('{"particles": [{"x": 0, "m": 1, "v": 0, "theta": 0}], '
+                + field.format(bad) + "}")
+        with pytest.raises(InstanceFormatError, match="must be a number"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("bad", ["true", "false", "1.0", '"3"'])
+    def test_seed_must_be_an_integer(self, bad):
+        """`"seed": true` used to be kept as True (bool is an int)."""
+        text = '{"particles": [{"x": 0, "m": 1, "v": 0, "theta": 0}], "seed": %s}' % bad
+        with pytest.raises(InstanceFormatError, match="`seed` must be an integer"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_oversized_integer_literal_rejected(self, digits):
+        """Past binary64 float() overflows, and past 4300 digits json.loads
+        itself refuses the literal; both used to escape as tracebacks."""
+        text = '{"particles": [{"x": 1%s, "m": 1, "v": 0, "theta": 0}]}' % ("0" * digits)
+        with pytest.raises(InstanceFormatError):
+            parse_instance(text)
+
     @pytest.mark.parametrize("key", ["abs", "rel"])
     def test_negative_tolerance_rejected(self, key):
         text = '{"particles": [{"x": 0, "m": 1, "v": 0, "theta": 0}], "tolerances": {"%s": %s}}'
@@ -384,6 +420,19 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
         assert "InstanceFormatError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [('"x": 0.0', '"x": "0.0"'), ('"m": 1.0', '"m": true'),
+                                          ('"t_end": 3.0', '"t_end": "3"'),
+                                          ('"t_end": 3.0', '"tolerances": {"abs": false}'),
+                                          ('"t_end": 3.0', '"seed": true')])
+    def test_non_numeric_instance_value_writes_nothing(self, tmp_path, capsys, old, new):
+        path = tmp_path / "inst.json"
+        path.write_text(HEAD_ON.replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "InstanceFormatError" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_tolerance_flags_accepted(self, instance_file, tmp_path):
