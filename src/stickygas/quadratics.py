@@ -61,17 +61,12 @@ def _difference_roots(p: QuadraticPath, q: QuadraticPath, tol: Tolerances) -> li
     b = p.c1 - q.c1
     c = p.c0 - q.c0
     if abs(p.c2 - q.c2) <= tol.abs_tol:
-        # difference is (numerically) affine: keep only the root near -c/b
+        # difference is (numerically) affine
         if abs(b) <= tol.abs_tol:
             if abs(c) <= tol.abs_tol:
                 raise IdenticalPaths("paths coincide; treat as already merged")
             return []
-        if a == 0.0:
-            return [MeetTime(-c / b)]
-        # a small curvature still moves that root by about a*(c/b)**2/|b|,
-        # or leaves no crossing at all when the discriminant is negative
-        roots = _real_roots(a, b, c, tol)
-        return [min(roots, key=lambda r: abs(r.time))] if roots else []
+        return [MeetTime(-c / b)]
     return _real_roots(a, b, c, tol)
 
 
