@@ -241,16 +241,8 @@ def cmd_gas(args) -> int:
     _write_csv(out / "position_residuals.csv", _RESIDUAL_HEADER, pos_rows)
     _write_csv(out / "velocity_residuals.csv", _RESIDUAL_HEADER, vel_rows)
 
-    cong_rows = []
-    for tc in gaslib.velocity_coincidence_times(timeline, t2):
-        if not t1 <= tc <= t2:
-            continue
-        fields = gaslib.velocity_space_fields(timeline, tc)
-        for (v, wt), w, a in zip(fields.atoms, fields.w, fields.a):
-            if a > 0.0:
-                cong_rows.append([tc, v, wt, w, a])
-    _write_csv(out / "congestion.csv",
-               ["t", "velocity", "weight", "w", "a"], cong_rows)
+    _write_csv(out / "congestion.csv", ["t", "velocity", "weight", "w", "a"],
+               gaslib.congestion_rows(timeline, t1, t2))
 
     _write_manifest(out, "gas", instance_dict(inst.data, inst.t_end, inst.seed),
                     {"window": [t1, t2], "tol_abs": tol.abs_tol, "tol_rel": tol.rel_tol},
@@ -320,7 +312,7 @@ def _fuzz_pool(count: int):
     workers = min(_usable_cpus(), count)
     if workers == 1:
         return nullcontext()
-    # imported here, as gas imports scipy, so no other command pays for it
+    # imported here, so that simulate, gvp and gas do not pay for it
     import multiprocessing
 
     # fork: a worker starts with numpy and stickygas already imported (spawn

@@ -9,6 +9,10 @@ class EmptyInput(StickyError):
     pass
 
 
+class LengthMismatch(StickyError):
+    """Initial-data columns of unequal length."""
+
+
 class NonIncreasingPositions(StickyError):
     pass
 

@@ -22,10 +22,9 @@ born at a shock in (t1, t2] and subtracts those that end there, and
 E[f'(Y) rate], E[f'(Y) rate^2] and E[f(Y) Gamma] are integrated over each
 life's span inside [t1, t2].  Inside these expectations the conditioning on
 the velocity collapses (tower property), so the residuals never group
-clusters by velocity; the grouping (VelocityFields) is kept for what needs
-the conditional variance: congestion samples and the initial-limit and
-continuity checks.  The threshold-crossing measure reads the same born and
-ended lives at shocks as the residual jumps.
+clusters by velocity; the grouping is kept for what needs the conditional
+variance a.  The threshold-crossing measure reads the same born and ended
+lives at shocks as the residual jumps.
 
 A life's span is split only where its own Y crosses a knot of the test
 function.  On each piece every integrand is a polynomial in t (degree <= 12
@@ -35,6 +34,16 @@ lives go through it in one pass.  The reported `quad_error` is the sum over
 pieces of |G8 - G7|, the gap to the 7-node rule (exact to degree 13):
 rounding-level for the built-in test functions, a real error estimate for a
 test function that is not piecewise polynomial (see TestFunction).
+
+a is nonzero only where clusters with distinct accelerations share a
+velocity, so congestion rows are written only for atoms that hold two or
+more distinct accelerations, at the times where two velocity lines cross.
+One sweep finds them (`congestion_rows`): two lines lie within abs_tol only
+on a band of times around their crossing, so the pairs whose band covers a
+crossing time, with the lines of one acceleration chained to them, hold
+every such atom, and the velocity law is built at no time.  The law at one
+time (`velocity_space_fields`) serves the initial-limit and continuity
+checks.
 """
 from __future__ import annotations
 
@@ -273,14 +282,15 @@ class VelocityFields:
         return self.a[self._lookup(v)]
 
 
-def _group_velocity_atoms(
-    vels: np.ndarray, wgts: np.ndarray, gammas: np.ndarray, tol: Tolerances
-) -> tuple[Atoms, tuple[float, ...], tuple[float, ...]]:
-    """Velocity atoms (chained within tol.abs_tol after a stable sort) with
-    the weighted mean and variance of gammas per atom."""
-    order = np.argsort(vels, kind="stable")
-    v, wg, g = vels[order], wgts[order], gammas[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(v) > tol.abs_tol) + 1))
+def _atom_moments(
+    v: np.ndarray, wg: np.ndarray, g: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weight, mean velocity, and weighted mean w and variance a of the
+    accelerations g, per atom: the runs of the velocity-sorted v, wg, g that
+    begin at `starts`.  An atom whose accelerations all share one value has
+    that value as w and a = 0 exactly; the weighted mean of equal values
+    need not round back to the value, and the variance would then be a
+    rounding residue."""
     sizes = np.diff(np.append(starts, len(v)))
     # "+ 0.0" turns a -0.0 sum into 0.0, as ndarray.sum does
     weight = np.add.reduceat(wg, starts) + 0.0
@@ -296,6 +306,21 @@ def _group_velocity_atoms(
         vbar[k] = (wg[sel] * v[sel]).sum() / weight[k]
         w[k] = (wg[sel] * g[sel]).sum() / weight[k]
         a[k] = (wg[sel] * (g[sel] - w[k]) ** 2).sum() / weight[k]
+    single = np.minimum.reduceat(g, starts) == np.maximum.reduceat(g, starts)
+    w[single] = g[starts[single]] + 0.0
+    a[single] = 0.0
+    return weight, vbar, w, a
+
+
+def _group_velocity_atoms(
+    vels: np.ndarray, wgts: np.ndarray, gammas: np.ndarray, tol: Tolerances
+) -> tuple[Atoms, tuple[float, ...], tuple[float, ...]]:
+    """Velocity atoms (chained within tol.abs_tol after a stable sort) with
+    the weighted mean and variance of gammas per atom (`_atom_moments`)."""
+    order = np.argsort(vels, kind="stable")
+    v, wg, g = vels[order], wgts[order], gammas[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(v) > tol.abs_tol) + 1))
+    weight, vbar, w, a = _atom_moments(v, wg, g, starts)
     return tuple(zip(vbar.tolist(), weight.tolist())), tuple(w.tolist()), tuple(a.tolist())
 
 
@@ -378,6 +403,134 @@ def velocity_coincidence_times(
                     & (bounds[np.minimum(j, len(bounds) - 1)] != tc))
             found.append(tc[keep])
     return sorted(set(np.concatenate(found).tolist()))
+
+
+def _band_incidences(
+    timeline: ShockTimeline, times: np.ndarray, t1: float, t2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of lives a < b with distinct accelerations and every time
+    times[k] in [t1, t2] at which both live and their computed velocities
+    may lie within abs_tol: arrays (a, b, k), one entry per pair and time.
+
+    Two velocity lines differ by |dc1 + t dc2|, so they lie within abs_tol
+    only on a band of times around their crossing.  The band here is wide
+    enough that the computed velocities c1 + t c2 of a pair outside it
+    differ by more than abs_tol: each velocity is off by at most
+    u (|c1| + 2 t |c2|) for the unit roundoff u, and the computed crossing
+    time by at most 3u of itself; the band doubles the first allowance and
+    takes 4 eps = 8u for the second.  A band that overflows is the pair's
+    whole common life.  `times` must be sorted and hold no segment bound,
+    so a time inside the common life's closed span has both lives alive."""
+    tol = timeline.tol
+    c = timeline.columns
+    first, last, c1, c2 = c.first, c.last, c.c1, c.c2
+    bounds = np.asarray(timeline.bounds)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    mag = np.abs(c1) + 2.0 * t2 * np.abs(c2)
+    # only the lives alive somewhere in [t1, t2] can meet a time there
+    lives = np.flatnonzero((bounds[first] <= t2) & (bounds[last + 1] >= t1))
+    found: list[tuple[np.ndarray, ...]] = []
+    with np.errstate(all="ignore"):
+        for i, a in enumerate(lives[:-1].tolist()):
+            b = lives[i + 1 :]
+            lo = np.maximum(first[b], first[a])
+            hi = np.minimum(last[b], last[a])
+            dc2 = c2[a] - c2[b]
+            tc = (c1[b] - c1[a]) / dc2
+            half = 2.0 * (tol.abs_tol + eps * (mag[a] + mag[b]) + tiny) / np.abs(dc2) \
+                + 4.0 * eps * np.abs(tc)
+            start, end = tc - half, tc + half
+            whole = ~(np.isfinite(start) & np.isfinite(end))
+            start[whole], end[whole] = -np.inf, np.inf
+            start = np.maximum(np.maximum(start, bounds[lo]), t1)
+            end = np.minimum(np.minimum(end, bounds[hi + 1]), t2)
+            keep = (lo <= hi) & (dc2 != 0.0) & (start <= end)
+            found.append((np.full(np.count_nonzero(keep), a), b[keep], start[keep], end[keep]))
+    if not found:
+        return (np.empty(0, dtype=int),) * 3
+    pa, pb, start, end = map(np.concatenate, zip(*found))
+    k0 = np.searchsorted(times, start, "left")
+    count = np.searchsorted(times, end, "right") - k0
+    k = np.arange(count.sum()) + np.repeat(k0 - (np.cumsum(count) - count), count)
+    return np.repeat(pa, count), np.repeat(pb, count), k
+
+
+def _parallel_partners(
+    timeline: ShockTimeline, rows: np.ndarray, k: np.ndarray, times: np.ndarray, t2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lives, with the index k of their time, alive at times[k] in one
+    run with a life of `rows` given at k.  A run is a chain of lives with one
+    acceleration whose consecutive c1 gaps stay within abs_tol plus rounding
+    (the allowance of `_band_incidences`).  Lines of one acceleration never
+    cross, so two lives of one acceleration whose computed velocities lie
+    within abs_tol at a time t <= t2 share a run."""
+    tol = timeline.tol
+    c = timeline.columns
+    order = np.lexsort((c.c1, c.c2))
+    s1, s2 = c.c1[order], c.c2[order]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    slack = 2.0 * (tol.abs_tol + eps * (np.abs(s1[1:]) + np.abs(s1[:-1])
+                                        + 4.0 * t2 * np.abs(s2[1:])) + tiny)
+    joined = (s2[1:] == s2[:-1]) & (s1[1:] - s1[:-1] <= slack)
+    if not joined.any():
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    run = np.empty(len(order), dtype=int)
+    run[order] = np.cumsum(np.concatenate(([True], ~joined))) - 1
+    members = np.split(order, np.flatnonzero(~joined) + 1)
+    segment = np.searchsorted(np.asarray(timeline.bounds), times, "right") - 1
+    shared = (np.bincount(run) > 1)[run[rows]]
+    out_rows, out_k = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for r, kk in set(zip(run[rows[shared]].tolist(), k[shared].tolist())):
+        chain = members[r]
+        chain = chain[(c.first[chain] <= segment[kk]) & (segment[kk] <= c.last[chain])]
+        out_rows.append(chain)
+        out_k.append(np.full(len(chain), kk))
+    return np.concatenate(out_rows), np.concatenate(out_k)
+
+
+def congestion_rows(
+    timeline: ShockTimeline, t1: float, t2: float
+) -> list[tuple[float, float, float, float, float]]:
+    """(t, velocity, weight, w, a) of every velocity atom that holds two or
+    more distinct accelerations, at every coincidence time t in [t1, t2), in
+    order of t and then of velocity: the atoms of `velocity_space_fields`
+    with a > 0 at those times, with their floats, but built without the
+    law at any of them.
+
+    The members at t are the lives of every pair whose abs_tol band covers
+    t (`_band_incidences`; a crossing pair's band covers its crossing) and
+    the lives in one run with one of them (`_parallel_partners`).  Any life
+    whose computed velocity lies within abs_tol of a member's is then a
+    member too, so the members make up whole atoms of the law at t; and an
+    atom with two distinct accelerations holds two neighbours in velocity
+    order that have them, which makes it a member atom.  One sort orders
+    every time's members by velocity, then by row, as the law does, and
+    one pass of the law's kernel (`_atom_moments`) chains and weighs them."""
+    _check_window(timeline, t1, t2)
+    times = np.array([t for t in velocity_coincidence_times(timeline, t2) if t >= t1])
+    a, b, k = _band_incidences(timeline, times, t1, t2)
+    rows, k = np.concatenate([a, b]), np.concatenate([k, k])
+    more_rows, more_k = _parallel_partners(timeline, rows, k, times, t2)
+    c = timeline.columns
+    lives = len(c.c1)
+    # distinct (time, life) keys; np.unique would import numpy.ma on first
+    # use, about 20 ms of every gas command
+    key = np.sort(np.concatenate([k, more_k]) * lives + np.concatenate([rows, more_rows]))
+    if not key.size:
+        return []
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    k, rows = np.divmod(key, lives)
+    g = c.c2[rows]
+    v = c.c1[rows] + times[k] * g
+    order = np.lexsort((rows, v, k))
+    k, rows, v, g = k[order], rows[order], v[order], g[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = (k[1:] != k[:-1]) | (np.diff(v) > timeline.tol.abs_tol)
+    starts = np.flatnonzero(new)
+    weight, vbar, w, var = _atom_moments(v, c.mass[rows] / timeline.total_mass, g, starts)
+    real = var > 0.0
+    return list(zip(times[k[starts]][real].tolist(), vbar[real].tolist(),
+                    weight[real].tolist(), w[real].tolist(), var[real].tolist()))
 
 
 def congestion_onset_delay(data: InitialData, first_shock: float) -> float:
@@ -509,12 +662,7 @@ def continuity_conditions_check(
         fl = velocity_space_fields(timeline, float(t))
         if fl.a:
             max_a = max(max_a, max(fl.a))
-    samples = []
-    for tc in coincidences:
-        fl = velocity_space_fields(timeline, tc)
-        for (v, _), a in zip(fl.atoms, fl.a):
-            if a > 0.0:
-                samples.append((tc, v, a))
+    samples = [(t, v, a) for t, v, _, _, a in congestion_rows(timeline, t1, t2) if t > t1]
 
     _, _, a0 = initial_velocity_law(timeline.initial, timeline.tol)
     a0_zero = all(a <= 1e-14 for a in a0)

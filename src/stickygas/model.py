@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
+    LengthMismatch,
     NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
@@ -84,7 +85,7 @@ def validate(
     if x.size == 0:
         raise EmptyInput("need at least one particle")
     if not (x.size == m.size == v.size == th.size):
-        raise EmptyInput("positions, masses, velocities, accelerations must have equal length")
+        raise LengthMismatch("positions, masses, velocities, accelerations must have equal length")
     for name, arr in columns:
         if not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} must be finite (no NaN or infinity)")

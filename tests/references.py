@@ -2,9 +2,10 @@
 
 Each is kept here unchanged from where it lived in the library: the tests
 call them as references for the flow's right-continuity and position
-grouping, the jump measures and force jumps at shocks, the test functions'
-derivatives and the quadratic dominance lemma.  The library itself never
-calls them.
+grouping, the jump measures and force jumps at shocks, the congestion rows
+built from the whole velocity law at each coincidence time, the test
+functions' derivatives and the quadratic dominance lemma.  The library
+itself never calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from stickygas.dynamics import ShockTimeline
 from stickygas.errors import PreconditionViolated
-from stickygas.gas import _shock_lives
+from stickygas.gas import _shock_lives, velocity_coincidence_times, velocity_space_fields
 from stickygas.quadratics import MeetTime, QuadraticPath, _real_roots
 from stickygas.testfunctions import TestFunction
 from stickygas.tolerances import DEFAULT_TOL, Tolerances
@@ -152,6 +153,26 @@ def force_jump_total(timeline: ShockTimeline, s: float) -> float:
     rows, _, sign = _shock_lives(timeline, math.nextafter(s, -math.inf), s)
     c = timeline.columns
     return float((sign * c.mass[rows] / timeline.total_mass) @ c.c2[rows])
+
+
+# ---------------------------------------------------------------------------
+# Congestion: the velocity law at every coincidence time
+
+
+def congestion_rows_per_time(
+    timeline: ShockTimeline, t1: float, t2: float
+) -> list[tuple[float, float, float, float, float]]:
+    """(t, velocity, weight, w, a) of every atom with a > 0 of the whole
+    velocity law, built at every coincidence time t in [t1, t2]: the rows
+    `congestion_rows` must reproduce, float for float."""
+    rows = []
+    for tc in velocity_coincidence_times(timeline, t2):
+        if t1 <= tc <= t2:
+            fields = velocity_space_fields(timeline, tc)
+            for (v, wt), w, a in zip(fields.atoms, fields.w, fields.a):
+                if a > 0.0:
+                    rows.append((tc, v, wt, w, a))
+    return rows
 
 
 # ---------------------------------------------------------------------------

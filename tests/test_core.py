@@ -19,11 +19,13 @@ from stickygas.errors import (
     EmptyInput,
     IdenticalPaths,
     IndexOutOfRange,
+    LengthMismatch,
     NonFiniteValue,
     NonIncreasingPositions,
     NonPositiveMass,
     NotOneDimensional,
     PreconditionViolated,
+    StickyError,
 )
 from stickygas.flow import _cluster_sums
 from stickygas.model import interval_path, make_cluster
@@ -54,6 +56,13 @@ class TestValidate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             validate([], [], [], [])
+
+    def test_unequal_lengths_rejected(self):
+        """Used to raise EmptyInput; a StickyError, so the CLI exits 2."""
+        with pytest.raises(LengthMismatch):
+            validate([0, 1], [1], [0, 0], [0, 0])
+        assert issubclass(LengthMismatch, StickyError)
+        assert not issubclass(LengthMismatch, EmptyInput)
 
     @pytest.mark.parametrize("fields", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)])
     def test_two_dimensional_rejected(self, fields):

@@ -11,6 +11,7 @@ from stickygas import (
     velocity_space_fields,
     velocity_space_residuals,
 )
+from stickygas.dynamics import horizon_of
 from stickygas.errors import TimeOutOfRange, WindowOutOfRange
 from stickygas.gas import (
     _gauss_legendre,
@@ -19,6 +20,7 @@ from stickygas.gas import (
     _group_velocity_atoms,
     _knot_crossings,
     congestion_onset_delay,
+    congestion_rows,
     continuity_conditions_check,
     initial_limits_check,
     initial_velocity_law,
@@ -35,6 +37,7 @@ from stickygas.tolerances import DEFAULT_TOL, Tolerances
 from tests.conftest import lattice_instance, random_data
 from tests.references import (
     DiscreteMeasure,
+    congestion_rows_per_time,
     finite_difference_mismatch,
     force_jump_total,
     jump_measure,
@@ -217,6 +220,9 @@ def _group_velocity_atoms_loop(vels, wgts, gammas, tol):
         v = float((wgts[sel] * vels[sel]).sum() / weight)
         w = float((wgts[sel] * gammas[sel]).sum() / weight)
         a = float((wgts[sel] * (gammas[sel] - w) ** 2).sum() / weight)
+        if gammas[sel].min() == gammas[sel].max():
+            # one acceleration: w is that value (a zero as +0.0), a is 0
+            w, a = float(gammas[sel[0]]) + 0.0, 0.0
         atoms.append((v, weight))
         ws.append(w)
         avars.append(a)
@@ -612,6 +618,36 @@ class TestVelocityFields:
                 np.bincount(np.searchsorted(np.unique(vels), vels)), default=0))
         assert largest >= 3
 
+    def test_one_acceleration_atoms_are_exact(self):
+        """An atom whose clusters share one acceleration has that value as w,
+        bit for bit (a zero as +0.0), and a == 0.0.  The weighted mean of
+        equal values need not round back to the value, and the variance
+        around it was then a rounding residue that gave the atom a
+        congestion row."""
+        one_value = shared = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed + 21_000)
+            if seed % 3 == 0:
+                data = lattice_instance(seed + 21_000, 3 + seed % 12)
+            else:
+                data = random_instance(rng, 12, admissible=seed % 3 == 1)
+            tl = simulate(data)
+            times = [*tl.event_times, *velocity_coincidence_times(tl),
+                     *rng.uniform(1e-3, horizon_of(tl), 5).tolist()]
+            for t in times:
+                fl = velocity_space_fields(tl, t)
+                c, rows = tl.columns, tl.rows_at(t)
+                v, g = c.c1[rows] + t * c.c2[rows], c.c2[rows]
+                order = np.argsort(v, kind="stable")
+                groups = np.split(g[order], np.flatnonzero(np.diff(v[order]) > tl.tol.abs_tol) + 1)
+                assert len(groups) == len(fl.atoms)
+                for gs, w, a in zip(groups, fl.w, fl.a):
+                    if gs.min() == gs.max():
+                        assert a == 0.0 and repr(w) == repr(float(gs[0]) + 0.0), (seed, t)
+                        one_value += 1
+                        shared += len(gs) > 1
+        assert one_value >= 3000 and shared >= 50
+
     def test_weighted_law_totals(self, congestion_pair):
         tl = simulate(congestion_pair)
         assert _law(velocity_space_fields(tl, 0.5)).is_probability()
@@ -620,6 +656,101 @@ class TestVelocityFields:
         assert sum(wt * w for wt, w in zip(weights, fl.w)) == pytest.approx(0.5)
         assert sum(wt * (w * w + a) for wt, w, a in zip(weights, fl.w, fl.a)) == (
             pytest.approx(0.25 + 0.25))
+
+
+def _admissible_lattice(seed, n, offset=0.0):
+    """Integer positions, masses, velocities and accelerations, the
+    accelerations non-increasing: exact ties of many velocity lines at
+    one time, and lives born at a shock with a neighbour's velocity.  With
+    an offset, each velocity moves up by 0, 1 or 2 offsets, so lines of
+    one acceleration lie a fraction of abs_tol apart and chain."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-2, 3, n) + rng.integers(0, 3, n) * offset
+    return validate(np.arange(n, dtype=float), rng.integers(1, 3, n).astype(float), v,
+                    np.sort(rng.integers(-2, 3, n))[::-1].astype(float))
+
+
+class TestCongestionRows:
+    @staticmethod
+    def _cases(congestion_pair):
+        """(timeline, t1, t2): random draws, admissible and not; integer
+        lattices; the pile-up family; the designed pair; windows whose
+        edges are coincidence times."""
+        runs = []
+        for seed in range(80):
+            rng = np.random.default_rng(seed + 22_000)
+            runs.append(simulate(random_instance(rng, 12, admissible=seed % 2 == 0)))
+        runs += [simulate(_admissible_lattice(seed + 22_100, 12)) for seed in range(100)]
+        runs += [simulate(lattice_instance(seed + 22_200, 4 + seed % 9)) for seed in range(40)]
+        # chains of lines within abs_tol: 0.6 abs_tol apart, and exactly
+        # abs_tol apart, where rounding decides
+        for seed in range(30):
+            data = _admissible_lattice(seed + 22_300, 12, (0.6, 0.5)[seed % 2] * DEFAULT_TOL.abs_tol)
+            runs.append(simulate(data))
+        # abs_tol = 0: an atom is one float velocity, which the lines of a
+        # tie reach at their own, slightly different, crossing times
+        exact = Tolerances(abs_tol=0.0)
+        runs += [simulate(_admissible_lattice(seed + 22_350, 12), tol=exact) for seed in range(50)]
+        runs += [simulate(lattice_instance(seed + 22_400, 12), tol=exact) for seed in range(50)]
+        # a wide abs_tol: atoms of pairs that are close but do not cross
+        wide = Tolerances(abs_tol=0.05)
+        for seed in range(30):
+            rng = np.random.default_rng(seed + 22_450)
+            runs.append(simulate(random_instance(rng, 12), tol=wide))
+        runs += [simulate(_admissible_lattice(seed + 22_500, 12), tol=Tolerances(abs_tol=0.4))
+                 for seed in range(30)]
+        for n in (3, 10, 12, 100):
+            x = np.arange(n, dtype=float) - 0.5 * (n - 1)
+            runs.append(simulate(validate(x, np.ones(n), -x, -x)))
+        cases = [(tl, 1e-3 * horizon_of(tl), horizon_of(tl)) for tl in runs]
+        pair = simulate(congestion_pair)
+        cases += [(pair, 0.5, 2.0), (pair, 1.0, 2.0), (pair, 0.5, 1.0)]
+        for tl in runs[::3]:
+            times = velocity_coincidence_times(tl)
+            if len(times) >= 3:
+                mid = times[len(times) // 2]
+                cases += [(tl, times[0], mid), (tl, mid, times[-1]), (tl, times[-1], horizon_of(tl))]
+        return cases
+
+    def test_rows_equal_per_time_law(self, congestion_pair):
+        """The sweep's rows are the per-time law's atoms with a > 0, float
+        for float and in order, ties of many lines included."""
+        rows = tied = crowded = 0
+        for tl, t1, t2 in self._cases(congestion_pair):
+            got = congestion_rows(tl, t1, t2)
+            assert repr(got) == repr(congestion_rows_per_time(tl, t1, t2)), (tl.initial.n, t1, t2)
+            rows += len(got)
+            times = [t for t, *_ in got]
+            crowded += len(times) - len(set(times))
+            for t, v, *_ in got:
+                c, live = tl.columns, tl.rows_at(t)
+                near = np.abs(c.c1[live] + t * c.c2[live] - v) <= 2.0 * tl.tol.abs_tol
+                tied += np.count_nonzero(near) >= 3
+        assert rows >= 2500 and tied >= 500 and crowded >= 500
+
+    def test_designed_pair(self, congestion_pair):
+        """One row, at t = 1 where the two velocities meet; a window edge
+        on that time holds it at t1 and not at t2."""
+        tl = simulate(congestion_pair)
+        assert congestion_rows(tl, 0.5, 2.0) == [(1.0, 1.0, 1.0, 0.5, 0.25)]
+        assert congestion_rows(tl, 1.0, 2.0) == [(1.0, 1.0, 1.0, 0.5, 0.25)]
+        assert congestion_rows(tl, 0.5, 1.0) == []
+
+    def test_chain_through_lines_of_one_acceleration(self):
+        """At t = 1, where y and z cross far away, x (acceleration 1) lies
+        0.05 below p, and p, q and r (acceleration 0) lie 0.09 apart: one
+        atom of four, with abs_tol = 0.1.  r is too far from x for their
+        band to cover t = 1, so only the run of p, q and r reaches it."""
+        tl = simulate(validate([0, 100, 200, 300, 400, 500], np.ones(6),
+                               [-1.05, 0.0, 0.09, 0.18, 4.0, 6.0], [1, 0, 0, 0, 1, -1]),
+                      tol=Tolerances(abs_tol=0.1))
+        got = congestion_rows(tl, 0.5, 1.02)
+        assert repr(got) == repr(congestion_rows_per_time(tl, 0.5, 1.02))
+        assert [(t, weight) for t, _, weight, _, _ in got] == [(1.0, 4 / 6), (1.0, 2 / 6)]
+
+    def test_window_validation(self, timeline_head_on):
+        with pytest.raises(WindowOutOfRange):
+            congestion_rows(timeline_head_on, 1.0, 0.5)
 
 
 class TestVelocityResiduals:

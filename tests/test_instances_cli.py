@@ -234,6 +234,21 @@ class TestCli:
         assert (out / "position_residuals.csv").exists()
         assert (out / "congestion.csv").exists()
 
+    def test_gas_congestion_rows_without_the_law(self, monkeypatch, tmp_path):
+        """The designed pair's velocities meet once, at t = 1: one row, and
+        the command builds the velocity law at no time."""
+        def no_law(*args):
+            raise AssertionError("velocity_space_fields called")
+
+        monkeypatch.setattr(stickygas.gas, "velocity_space_fields", no_law)
+        path = tmp_path / "pair.json"
+        path.write_text(instance_document(validate([0.0, 10.0], [1.0, 1.0], [0.0, 1.0],
+                                                   [1.0, 0.0])))
+        out = tmp_path / "out"
+        assert main(["gas", str(path), "--window", "0.5:2", "--out-dir", str(out)]) == 0
+        assert (out / "congestion.csv").read_text().splitlines() == [
+            "t,velocity,weight,w,a", "1,1,1,0.5,0.25"]
+
     def test_manifest_bytes_match_the_instance_document(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text('''{"particles": [
